@@ -190,7 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ScenarioFormatError, FileNotFoundError, ValueError) as exc:
+    except (ScenarioFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

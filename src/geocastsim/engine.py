@@ -47,20 +47,17 @@ class _FifoPool:
 
     def __init__(self) -> None:
         self._items: deque = deque()
-        self._alive = 0
 
     def add(self, m: Message) -> None:
         self._items.append(m)
-        self._alive += 1
 
     def discard(self, m: Message) -> None:
-        self._alive -= 1
+        """Nothing to do: pop skips messages that are no longer alive."""
 
     def pop(self) -> Optional[Message]:
         while self._items:
             m = self._items.popleft()
             if m.alive:
-                self._alive -= 1
                 return m
         return None
 
@@ -70,7 +67,6 @@ class _LifoPool(_FifoPool):
         while self._items:
             m = self._items.pop()
             if m.alive:
-                self._alive -= 1
                 return m
         return None
 
@@ -111,7 +107,6 @@ class SimState:
         self.transcript: list[TransmissionEvent] = []
         self.arrival: dict[DeviceId, int] = {}
         self.used_edges: set[tuple[DeviceId, DeviceId]] = set()
-        self.received: set[DeviceId] = set()
         self.split_done: set[DeviceId] = set()
         self.enqueued = 0
         self.annihilated = 0
@@ -124,7 +119,8 @@ class SimState:
         return sum(len(q) for q in self.queues)
 
 
-def _seeded_rng(seed: int, *key: int) -> np.random.Generator:
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based generator for the stream keyed by (seed, *key)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -146,15 +142,14 @@ class Simulation:
         elif policy == "lifo":
             self.pool = _LifoPool()
         elif policy == "random":
-            self.pool = _RandomPool(_seeded_rng(seed, 0))
+            self.pool = _RandomPool(substream(seed, 0))
         else:
             raise ValueError(f"unknown policy {policy!r}")
         self.policy = policy
         self.state = SimState(n)
-        self.state.arrival[inst.source] = 0
         # the source has already participated: its one-shot emissions happen
         # at initiation, so later receipts only forward or annihilate
-        self.state.received.add(inst.source)
+        self.state.arrival[inst.source] = 0
         self.state.split_done.add(inst.source)
         for m in self.algorithm.initiate(nets, inst):
             self._enqueue(m)
@@ -174,9 +169,8 @@ class Simulation:
         e = (m.sender, m.receiver) if m.sender < m.receiver else (m.receiver, m.sender)
         st.used_edges.add(e)
         d = m.receiver
-        seen_any = d in st.received
-        st.received.add(d)
         prev = st.arrival.get(d)
+        seen_any = prev is not None
         if prev is None or m.depth < prev:
             st.arrival[d] = m.depth
         mutation = self.algorithm.handle(self.nets, d, m, st.queues[d],
@@ -284,7 +278,6 @@ def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
         e = (u, d) if u < d else (d, u)
         state.used_edges.add(e)
         state.arrival[d] = depth
-        state.received.add(d)
         extra += 1
     return extra
 

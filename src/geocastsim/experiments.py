@@ -14,7 +14,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import Metrics, Simulation, SimulationFault, compute_metrics, deliver_dominated
+from .engine import (
+    Metrics,
+    Simulation,
+    SimulationFault,
+    compute_metrics,
+    deliver_dominated,
+    substream,
+)
 from .netgraph import (
     Network,
     Point,
@@ -29,10 +36,6 @@ from .protocol import ALGORITHMS, RoutingNets
 
 _PURPOSE_SCENARIO = 1
 _PURPOSE_RUN_SEED = 2
-
-
-def substream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 @dataclass(frozen=True)

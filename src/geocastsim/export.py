@@ -34,10 +34,15 @@ def read_trace(path: str) -> list[TransmissionEvent]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"trace line {line_no}: invalid JSON ({exc.msg})") from None
-            events.append(TransmissionEvent(
-                step=rec["step"], mode=rec["mode"], dir=rec["dir"],
-                sender=rec["sender"], receiver=rec["receiver"], depth=rec["depth"],
-            ))
+            try:
+                events.append(TransmissionEvent(
+                    step=rec["step"], mode=rec["mode"], dir=rec["dir"],
+                    sender=rec["sender"], receiver=rec["receiver"], depth=rec["depth"],
+                ))
+            except KeyError as exc:
+                raise ValueError(f"trace line {line_no}: missing key {exc}") from None
+            except TypeError:
+                raise ValueError(f"trace line {line_no}: expected a JSON object") from None
     return events
 
 

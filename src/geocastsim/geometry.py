@@ -8,11 +8,17 @@ the counter-clockwise adjacency order used elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 COUNTERCLOCKWISE = 1
 CLOCKWISE = -1
 COLLINEAR = 0
+
+# relative error bound of the float cross product (Shewchuk's ccwerrboundA),
+# and an absolute floor that covers products rounded in the subnormal range
+_ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_UNDERFLOW_FLOOR = 2.0 ** -1000
 
 LEFT = "L"
 RIGHT = "R"
@@ -67,11 +73,6 @@ class Rect:
         return (Segment(a, c), Segment(c, b), Segment(b, d), Segment(d, a))
 
 
-def cross(o: Point, a: Point, b: Point) -> float:
-    """Cross product of (a - o) with (b - o)."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 def dist2(a: Point, b: Point) -> float:
     dx = a.x - b.x
     dy = a.y - b.y
@@ -81,15 +82,22 @@ def dist2(a: Point, b: Point) -> float:
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Turn direction of the path p -> q -> r.
 
-    Returns COUNTERCLOCKWISE (+1), CLOCKWISE (-1) or COLLINEAR (0); exactly
-    zero cross product counts as collinear.
+    Returns COUNTERCLOCKWISE (+1), CLOCKWISE (-1) or COLLINEAR (0), the exact
+    sign of the cross product of (q - p) with (r - p).  The float product
+    decides whenever it clears its rounding-error bound (Shewchuk 1997, plus
+    a floor for underflow); otherwise the sign is computed in rationals.
     """
-    area = cross(p, q, r)
-    if area > 0.0:
+    detl = (q.x - p.x) * (r.y - p.y)
+    detr = (q.y - p.y) * (r.x - p.x)
+    det = detl - detr
+    bound = _ORIENT_ERR * (abs(detl) + abs(detr)) + _UNDERFLOW_FLOOR
+    if det > bound:
         return COUNTERCLOCKWISE
-    if area < 0.0:
+    if det < -bound:
         return CLOCKWISE
-    return COLLINEAR
+    px, py = Fraction(p.x), Fraction(p.y)
+    exact = (Fraction(q.x) - px) * (Fraction(r.y) - py) - (Fraction(q.y) - py) * (Fraction(r.x) - px)
+    return (exact > 0) - (exact < 0)
 
 
 def _within_box(p: Point, q: Point, r: Point) -> bool:
@@ -104,6 +112,8 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
     p2, q2 = s2.a, s2.b
     o1 = orientation(p1, q1, p2)
     o2 = orientation(p1, q1, q2)
+    if o1 == o2 != COLLINEAR:
+        return False  # s2 lies strictly on one side of the line through s1
     o3 = orientation(p2, q2, p1)
     o4 = orientation(p2, q2, q1)
     if o1 != o2 and o3 != o4 and o1 != COLLINEAR and o2 != COLLINEAR:

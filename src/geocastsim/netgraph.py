@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .geometry import (
     COLLINEAR,
@@ -102,21 +101,49 @@ def cross_ids(positions: Sequence[Point], at: Point, u: DeviceId, v: DeviceId) -
 
 
 def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
-    """Connect every pair at Euclidean distance <= radius (closed threshold)."""
+    """Connect every pair at Euclidean distance <= radius (closed threshold).
+
+    Construction is a cell grid: devices are binned into square cells a hair
+    wider than the radius, and each device is tested only against its own
+    cell and the 8 around it, so time and memory are O(n·deg) rather than
+    O(n²).  The test is `dx*dx + dy*dy <= radius*radius`.
+    """
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
     if radius <= 0:
         raise ValueError("radius must be positive")
     pts = list(points)
+    for d, p in enumerate(pts):
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise ValueError(f"device {d} has a non-finite coordinate")
     if len(set((p.x, p.y) for p in pts)) != len(pts):
         raise DuplicatePointsError("device coordinates must be pairwise distinct")
-    n = len(pts)
-    if n == 0:
+    if not pts:
         return Network((), (), radius)
-    arr = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
-    diff = arr[:, None, :] - arr[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    within = d2 <= radius * radius
-    np.fill_diagonal(within, False)
-    adjacency = [_ccw_sorted(pts, d, np.flatnonzero(within[d]).tolist()) for d in range(n)]
+    # Cells are a hair wider than the radius, so a pair that passes the rounded
+    # distance test is never two cells apart after x / cell is rounded: the
+    # relative slack covers the rounding of the test, the extent term that of
+    # quotients of large coordinates.
+    extent = max(max(abs(p.x), abs(p.y)) for p in pts)
+    cell = radius * (1.0 + 2.0 ** -20) + extent * 2.0 ** -50
+    r2 = radius * radius
+    keys = [(math.floor(p.x / cell), math.floor(p.y / cell)) for p in pts]
+    grid: dict[tuple[int, int], list[int]] = {}
+    for d, key in enumerate(keys):
+        grid.setdefault(key, []).append(d)
+    adjacency = []
+    for d, (cx, cy) in enumerate(keys):
+        p = pts[d]
+        near = []
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for u in grid.get((gx, gy), ()):
+                    q = pts[u]
+                    dx = p.x - q.x
+                    dy = p.y - q.y
+                    if dx * dx + dy * dy <= r2 and u != d:
+                        near.append(u)
+        adjacency.append(_ccw_sorted(pts, d, near))
     return Network(pts, adjacency, radius)
 
 
@@ -217,6 +244,12 @@ def cds_backbone(net: Network) -> set[DeviceId]:
     Greedy cover by descending degree, then BFS connectors until the chosen
     set induces a connected subgraph within every component.  The contract is
     dominating + induced-connected, not minimality.
+
+    The connectors grow a hub incrementally: the hub starts as the induced
+    part holding the component's smallest chosen device, each connector links
+    it to the nearest chosen device outside it, and a BFS over chosen devices
+    from the connector's interior absorbs every part that joins.  Each step
+    touches only what it adds, so the whole pass stays O(n·deg) in memory.
     """
     n = net.n
     chosen: set[int] = set()
@@ -229,30 +262,25 @@ def cds_backbone(net: Network) -> set[DeviceId]:
                 covered[u] = True
     for comp in connected_components(net):
         comp_set = set(comp)
+        rest = chosen & comp_set  # chosen devices of the component not yet in the hub
+        hub: set[int] = set()
+        seeds = {min(rest)}
         while True:
-            parts = _induced_parts(net, chosen & comp_set)
-            if len(parts) <= 1:
+            hub |= seeds
+            rest -= seeds
+            queue = deque(seeds)
+            while queue:
+                d = queue.popleft()
+                for u in net.adjacency[d]:
+                    if u in rest:
+                        rest.discard(u)
+                        hub.add(u)
+                        queue.append(u)
+            if not rest:
                 break
-            chosen |= _connector_path(net, parts[0], set().union(*parts[1:]), comp_set)
+            seeds = _connector_path(net, hub, rest, comp_set)
+            chosen |= seeds
     return chosen
-
-
-def _induced_parts(net: Network, nodes: set[int]) -> list[set[int]]:
-    remaining = set(nodes)
-    parts = []
-    while remaining:
-        s = min(remaining)
-        part = {s}
-        queue = deque([s])
-        while queue:
-            d = queue.popleft()
-            for u in net.adjacency[d]:
-                if u in nodes and u not in part:
-                    part.add(u)
-                    queue.append(u)
-        parts.append(part)
-        remaining -= part
-    return sorted(parts, key=min)
 
 
 def _connector_path(net: Network, start: set[int], goal: set[int], universe: set[int]) -> set[int]:
@@ -370,21 +398,33 @@ def scenario_from_dict(data: dict) -> Scenario:
     def fail(field: str, why: str) -> ScenarioFormatError:
         return ScenarioFormatError(f"scenario field '{field}': {why}")
 
+    def number(field: str, value) -> float:
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            raise fail(field, "not a number") from None
+        if not math.isfinite(x):
+            raise fail(field, "must be finite")
+        return x
+
+    def integer(field: str, value) -> int:
+        # JSON true/false arrive as bool, which Python counts as an int
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise fail(field, "must be an integer")
+        return value
+
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
     for key in ("radius", "field", "devices", "source", "region", "seed"):
         if key not in data:
             raise fail(key, "missing")
-    try:
-        radius = float(data["radius"])
-    except (TypeError, ValueError):
-        raise fail("radius", "not a number") from None
+    radius = number("radius", data["radius"])
     if radius <= 0:
         raise fail("radius", "must be positive")
     field = data["field"]
     if not (isinstance(field, list) and len(field) == 2):
         raise fail("field", "expected [width, height]")
-    fw, fh = float(field[0]), float(field[1])
+    fw, fh = (number("field", v) for v in field)
     if fw <= 0 or fh <= 0:
         raise fail("field", "dimensions must be positive")
     devices = data["devices"]
@@ -394,23 +434,24 @@ def scenario_from_dict(data: dict) -> Scenario:
     for i, xy in enumerate(devices):
         if not (isinstance(xy, list) and len(xy) == 2):
             raise fail("devices", f"entry {i} is not an [x, y] pair")
-        pts.append(Point(float(xy[0]), float(xy[1])))
+        x, y = (number(f"devices[{i}]", v) for v in xy)
+        if not (0.0 <= x <= fw and 0.0 <= y <= fh):
+            raise fail(f"devices[{i}]", "must lie within the field")
+        pts.append(Point(x, y))
     if len(set((p.x, p.y) for p in pts)) != len(pts):
         raise fail("devices", "coordinates must be pairwise distinct")
-    source = data["source"]
-    if not isinstance(source, int) or not (0 <= source < len(pts)):
+    source = integer("source", data["source"])
+    if not (0 <= source < len(pts)):
         raise fail("source", f"must be an index in [0, {len(pts) - 1}]")
     region = data["region"]
     if not (isinstance(region, list) and len(region) == 4):
         raise fail("region", "expected [xmin, ymin, xmax, ymax]")
-    xmin, ymin, xmax, ymax = (float(v) for v in region)
+    xmin, ymin, xmax, ymax = (number("region", v) for v in region)
     if xmin > xmax or ymin > ymax:
         raise fail("region", "min corner exceeds max corner")
     if xmin < 0 or ymin < 0 or xmax > fw or ymax > fh:
         raise fail("region", "must lie within the field")
-    seed = data["seed"]
-    if not isinstance(seed, int):
-        raise fail("seed", "must be an integer")
+    seed = integer("seed", data["seed"])
     return Scenario(radius, (fw, fh), tuple(pts), source, Rect.from_bounds(xmin, ymin, xmax, ymax), seed)
 
 

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from geocastsim.geometry import Point, Rect, dist2
-from geocastsim.netgraph import GeocastInstance, Network, from_edges
+from geocastsim.netgraph import (
+    DuplicatePointsError,
+    GeocastInstance,
+    Network,
+    _ccw_sorted,
+    _connector_path,
+    connected_components,
+    from_edges,
+)
 from geocastsim.protocol import RoutingNets
 
 
@@ -81,6 +91,68 @@ def gabriel_oracle_keeps(points, u: int, v: int) -> bool:
         if dist2(pu, pw) + dist2(pw, pv) < dist2(pu, pv):
             return False
     return True
+
+
+def reference_unit_disk(points, radius: float) -> Network:
+    """The all-pairs unit-disk builder: an n x n distance matrix in numpy,
+    O(n^2) memory.  The cell-grid builder must match it tuple for tuple."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    pts = list(points)
+    if len(set((p.x, p.y) for p in pts)) != len(pts):
+        raise DuplicatePointsError("device coordinates must be pairwise distinct")
+    n = len(pts)
+    if n == 0:
+        return Network((), (), radius)
+    arr = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
+    diff = arr[:, None, :] - arr[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    within = d2 <= radius * radius
+    np.fill_diagonal(within, False)
+    adjacency = [_ccw_sorted(pts, d, np.flatnonzero(within[d]).tolist()) for d in range(n)]
+    return Network(pts, adjacency, radius)
+
+
+def reference_cds_backbone(net: Network) -> set[int]:
+    """The re-partitioning CDS: after every connector path the chosen set of
+    the component is split into induced parts again from scratch, and the
+    next connector starts from the part holding the smallest device.  The
+    incremental hub must choose the same set."""
+    n = net.n
+    chosen: set[int] = set()
+    covered = [False] * n
+    for d in sorted(range(n), key=lambda d: (-net.degree(d), d)):
+        if not covered[d] or any(not covered[u] for u in net.adjacency[d]):
+            chosen.add(d)
+            covered[d] = True
+            for u in net.adjacency[d]:
+                covered[u] = True
+    for comp in connected_components(net):
+        comp_set = set(comp)
+        while True:
+            parts = _induced_parts(net, chosen & comp_set)
+            if len(parts) <= 1:
+                break
+            chosen |= _connector_path(net, parts[0], set().union(*parts[1:]), comp_set)
+    return chosen
+
+
+def _induced_parts(net: Network, nodes: set[int]) -> list[set[int]]:
+    remaining = set(nodes)
+    parts = []
+    while remaining:
+        s = min(remaining)
+        part = {s}
+        queue = deque([s])
+        while queue:
+            d = queue.popleft()
+            for u in net.adjacency[d]:
+                if u in nodes and u not in part:
+                    part.add(u)
+                    queue.append(u)
+        parts.append(part)
+        remaining -= part
+    return sorted(parts, key=min)
 
 
 def minimum_cds_oracle(net: Network) -> set[int]:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import geocastsim.engine as engine_mod
@@ -5,7 +7,7 @@ from conftest import P
 from geocastsim.cli import main, parse_values
 from geocastsim.export import read_trace, used_edges_from_trace
 from geocastsim.geometry import Rect
-from geocastsim.netgraph import Scenario, load_scenario, save_scenario
+from geocastsim.netgraph import Scenario, load_scenario, save_scenario, scenario_to_dict
 
 
 @pytest.fixture
@@ -70,6 +72,29 @@ class TestRun:
         assert main(["run", "--scenario", str(bad)]) == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutation, field", [
+        (lambda d: d.update(field=[None, 10]), "field"),
+        (lambda d: d["devices"].__setitem__(1, [float("nan"), 0.0]), "devices"),
+        (lambda d: d.update(region=[1.6, float("nan"), 2.0, 0.2]), "region"),
+        (lambda d: d.update(source=True), "source"),
+        (lambda d: d.update(radius=float("inf")), "radius"),
+        (lambda d: d["devices"].__setitem__(1, [55.0, 0.0]), "devices"),
+    ], ids=["null-field", "nan-device", "nan-region", "bool-source", "infinite-radius",
+            "device-outside-field"])
+    def test_unplaceable_scenario_exits_one(self, path_scenario, tmp_path, capsys,
+                                            mutation, field):
+        data = scenario_to_dict(load_scenario(path_scenario))
+        mutation(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+        assert main(["run", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_output_to_directory_exits_one(self, tmp_path, capsys):
+        assert main(["generate", "-o", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_simulation_fault_exits_two(self, path_scenario, monkeypatch, capsys):
         monkeypatch.setattr(engine_mod, "BUDGET_FACTOR", 0)
         assert main(["run", "--scenario", path_scenario]) == 2
@@ -126,6 +151,14 @@ class TestExport:
                      "--format", "svg", "-o", str(svg)]) == 0
         body = svg.read_text()
         assert body.startswith("<svg") and body.count('stroke="#d03030"') == len(used)
+
+    def test_trace_record_missing_key_exits_one(self, path_scenario, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"step": 1, "dir": null, "sender": 0, "receiver": 1, "depth": 1}\n')
+        assert main(["export", "--scenario", path_scenario, "--trace", str(trace),
+                     "--format", "dot", "-o", str(tmp_path / "x.dot")]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "mode" in err
 
     def test_missing_trace_exits_one(self, path_scenario, tmp_path):
         assert main(["export", "--scenario", path_scenario,

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import P, next_hop_oracle
@@ -40,6 +41,21 @@ class TestOrientation:
     def test_antisymmetric_under_swap(self, p, q, r):
         assert orientation(p, q, r) == -orientation(p, r, q)
 
+    @pytest.mark.parametrize("p, q, r, expected", [
+        # the float cross product rounds to exactly 0
+        (P(-1, 1), P(1, 0), P(1, -1.9628868139488513e-232), CLOCKWISE),
+        # both float products underflow to 0
+        (P(0, 0), P(1e-200, 0), P(0, 1e-200), COUNTERCLOCKWISE),
+    ])
+    def test_sign_is_exact_below_float_rounding(self, p, q, r, expected):
+        assert orientation(p, q, r) == expected
+
+    @given(points, points, points)
+    def test_matches_rational_arithmetic(self, p, q, r):
+        det = ((Fraction(q.x) - Fraction(p.x)) * (Fraction(r.y) - Fraction(p.y))
+               - (Fraction(q.y) - Fraction(p.y)) * (Fraction(r.x) - Fraction(p.x)))
+        assert orientation(p, q, r) == (det > 0) - (det < 0)
+
 
 class TestSegmentsIntersect:
     def test_x_crossing(self):
@@ -58,6 +74,7 @@ class TestSegmentsIntersect:
         assert not segments_intersect(Segment(P(0, 0), P(1, 0)), Segment(P(2, 0), P(3, 0)))
 
     @given(points, points, points, points)
+    @example(P(1.0, -1.9628868139488513e-232), P(2, -1), P(-1, 1), P(1, 0))
     def test_symmetric(self, a, b, c, d):
         s1, s2 = Segment(a, b), Segment(c, d)
         assert segments_intersect(s1, s2) == segments_intersect(s2, s1)

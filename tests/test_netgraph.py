@@ -2,8 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import P, gabriel_oracle_keeps, minimum_cds_oracle
+from conftest import (
+    P,
+    gabriel_oracle_keeps,
+    minimum_cds_oracle,
+    reference_cds_backbone,
+    reference_unit_disk,
+)
+from geocastsim.experiments import ExperimentConfig, gen_scenario
 from geocastsim.geometry import LEFT, RIGHT, Rect, next_hop_index
 from geocastsim.netgraph import (
     DuplicatePointsError,
@@ -64,6 +73,72 @@ class TestBuildUnitDisk:
         for u in range(net.n):
             for v in net.adjacency[u]:
                 assert u in net.adjacency[v]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build_unit_disk([P(0, 0), P(bad, 1)], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            build_unit_disk([P(0, 0), P(0.5, 0)], bad)
+
+
+def assert_matches_reference(pts, radius):
+    """Cell-grid adjacency and incremental-hub CDS equal the all-pairs
+    builder and the re-partitioning CDS kept in conftest."""
+    net = build_unit_disk(pts, radius)
+    ref = reference_unit_disk(pts, radius)
+    assert net.adjacency == ref.adjacency
+    assert cds_backbone(net) == reference_cds_backbone(ref)
+
+
+def lattice(cols, rows, step=1.0, x0=0.0, y0=0.0):
+    return [P(x0 + i * step, y0 + j * step) for j in range(rows) for i in range(cols)]
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("field, density, trials", [
+        (10.0, 3.0, 3), (10.0, 7.0, 3), (10.0, 16.0, 3),
+        (20.0, 3.0, 2), (20.0, 7.0, 2), (20.0, 16.0, 1),
+        (40.0, 3.0, 1),  # the all-pairs reference holds n^2 doubles; keep n near 1.5k
+    ])
+    def test_generated_corpus(self, field, density, trials):
+        cfg = ExperimentConfig(field_side=field, density=density, seed=17)
+        for t in range(trials):
+            sc = gen_scenario(cfg, t)
+            assert_matches_reference(sc.devices, sc.radius)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_points(self, data):
+        # a coarse grid puts pairs at exactly the radius and on cell boundaries
+        coarse = st.integers(-12, 12).map(lambda k: k * 0.25)
+        fine = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+        coord = st.one_of(coarse, fine)
+        raw = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40, unique=True))
+        radius = data.draw(st.sampled_from([0.25, 0.3, 0.5, 1.0, 2.5]))
+        assert_matches_reference([P(x, y) for x, y in raw], radius)
+
+    @pytest.mark.parametrize("pts, radius", [
+        (lattice(9, 9), 1.0),                          # pairs at exactly r, on cell edges
+        (lattice(9, 9, x0=-4.0, y0=-4.0), 1.0),        # negative coordinates
+        (lattice(12, 12, step=0.3), 0.3),              # rounded steps either side of r
+        (lattice(7, 7, step=0.5, x0=-1.75, y0=-1.75), 2.5),
+        (lattice(30, 1, step=0.5), 1.0),               # one collinear row
+        (lattice(20, 3, step=0.3, y0=-0.3), 0.3),      # collinear rows, exactly r apart
+        (lattice(25, 2, step=1.0, x0=-12.0), 1.0),     # two rows r apart, negative x
+        # dx rounds to exactly r although the rounded quotients x/r lie two cells apart
+        ([P(-1e-16, 0.0), P(1.0, 0.0)], 1.0),
+    ], ids=["unit-lattice", "negative-lattice", "lattice-0.3", "lattice-2.5",
+            "row", "rows-0.3", "rows-negative", "rounding-across-two-cells"])
+    def test_degenerate_inputs(self, pts, radius):
+        assert_matches_reference(pts, radius)
+
+    @pytest.mark.parametrize("radius", [0.3, 2.5])
+    def test_negative_random_points(self, radius):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            pts = [P(x, y) for x, y in rng.uniform(-6.0, 2.0, size=(120, 2))]
+            assert_matches_reference(pts, radius)
 
 
 class TestGabriel:
@@ -322,6 +397,13 @@ class TestScenarioIO:
         (lambda d: d.update(region=[5, 5, 2, 2]), "region"),
         (lambda d: d.update(region=[0, 0, 20, 20]), "region"),
         (lambda d: d.update(devices=[[0, 0], [0, 0]]), "devices"),
+        (lambda d: d.update(field=[None, 10]), "field"),
+        (lambda d: d["devices"].__setitem__(3, [float("nan"), 1.0]), "devices"),
+        (lambda d: d["devices"].__setitem__(3, [55.0, 1.0]), "devices"),
+        (lambda d: d.update(region=[2.0, float("nan"), 5.0, 6.0]), "region"),
+        (lambda d: d.update(radius=float("inf")), "radius"),
+        (lambda d: d.update(source=True), "source"),
+        (lambda d: d.update(seed=False), "seed"),
     ])
     def test_malformed_scenarios_name_the_field(self, mutation, field):
         data = scenario_to_dict(self.scenario())
