@@ -99,6 +99,11 @@ class _RandomPool:
         return None
 
 
+def edge_key(u: DeviceId, v: DeviceId) -> tuple[DeviceId, DeviceId]:
+    """The undirected edge {u, v} as it is kept in `SimState.used_edges`."""
+    return (u, v) if u < v else (v, u)
+
+
 class SimState:
     """Queues plus the transcript; the only mutable state of a run."""
 
@@ -166,8 +171,7 @@ class Simulation:
         m.alive = False
         event = TransmissionEvent(st.steps + 1, m.mode, m.dir, m.sender, m.receiver, m.depth)
         st.transcript.append(event)
-        e = (m.sender, m.receiver) if m.sender < m.receiver else (m.receiver, m.sender)
-        st.used_edges.add(e)
+        st.used_edges.add(edge_key(m.sender, m.receiver))
         d = m.receiver
         prev = st.arrival.get(d)
         seen_any = prev is not None
@@ -275,8 +279,7 @@ def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
         depth = state.arrival[u] + 1
         event = TransmissionEvent(state.steps + 1, "flood", None, u, d, depth)
         state.transcript.append(event)
-        e = (u, d) if u < d else (d, u)
-        state.used_edges.add(e)
+        state.used_edges.add(edge_key(u, d))
         state.arrival[d] = depth
         extra += 1
     return extra

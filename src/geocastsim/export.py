@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional
 
-from .engine import TransmissionEvent
+from .engine import TransmissionEvent, edge_key
 from .netgraph import Network, Scenario
 
 
@@ -47,11 +47,7 @@ def read_trace(path: str) -> list[TransmissionEvent]:
 
 
 def used_edges_from_trace(events: Iterable[TransmissionEvent]) -> set[tuple[int, int]]:
-    used = set()
-    for ev in events:
-        e = (ev.sender, ev.receiver) if ev.sender < ev.receiver else (ev.receiver, ev.sender)
-        used.add(e)
-    return used
+    return {edge_key(ev.sender, ev.receiver) for ev in events}
 
 
 def render_dot(scenario: Scenario, net: Network, used: set[tuple[int, int]]) -> str:

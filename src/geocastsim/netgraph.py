@@ -6,7 +6,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cmp_to_key
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .geometry import (
@@ -70,34 +70,43 @@ class Network:
 
 
 def _ccw_sorted(positions: Sequence[Point], d: DeviceId, nbrs: Iterable[DeviceId]) -> tuple[int, ...]:
+    """Neighbours of d counter-clockwise from the positive x axis.
+
+    The order is decided by the sign of the rounded cross product within a
+    half-plane, then distance, then id.  A sort on a key computed once per
+    neighbour, (half, -vx/vy, dist2, id), puts it in that order up to
+    rounding; -vx/vy rises with the angle inside either half and is -inf on
+    the x axis.  An insertion pass then checks adjacent pairs by the cross
+    product and moves any neighbour the key misplaced.
+    """
     at = positions[d]
-
-    def half(u: DeviceId) -> int:
+    ax, ay = at.x, at.y
+    order = []
+    for u in nbrs:
         p = positions[u]
-        vx, vy = p.x - at.x, p.y - at.y
-        return 0 if (vy > 0.0 or (vy == 0.0 and vx > 0.0)) else 1
-
-    def cmp(u: DeviceId, v: DeviceId) -> int:
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = cross_ids(positions, at, u, v)
-        if c > 0.0:
-            return -1
-        if c < 0.0:
-            return 1
-        du = dist2(at, positions[u])
-        dv = dist2(at, positions[v])
-        if du != dv:
-            return -1 if du < dv else 1
-        return -1 if u < v else (1 if u > v else 0)
-
-    return tuple(sorted(nbrs, key=cmp_to_key(cmp)))
+        vx = p.x - ax
+        vy = p.y - ay
+        half = 0 if (vy > 0.0 or (vy == 0.0 and vx > 0.0)) else 1
+        order.append((half, -vx / vy if vy != 0.0 else -math.inf, vx * vx + vy * vy, u, vx, vy))
+    order.sort()
+    for i in range(1, len(order)):
+        j = i
+        while j and _ccw_before(order[j], order[j - 1]):
+            order[j - 1], order[j] = order[j], order[j - 1]
+            j -= 1
+    return tuple(e[3] for e in order)
 
 
-def cross_ids(positions: Sequence[Point], at: Point, u: DeviceId, v: DeviceId) -> float:
-    pu, pv = positions[u], positions[v]
-    return (pu.x - at.x) * (pv.y - at.y) - (pu.y - at.y) * (pv.x - at.x)
+def _ccw_before(a: tuple, b: tuple) -> bool:
+    """True iff neighbour a must precede neighbour b (entries of `_ccw_sorted`)."""
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    c = a[4] * b[5] - a[5] * b[4]
+    if c > 0.0:
+        return True
+    if c < 0.0:
+        return False
+    return (a[2], a[3]) < (b[2], b[3])
 
 
 def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
@@ -106,7 +115,8 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     Construction is a cell grid: devices are binned into square cells a hair
     wider than the radius, and each device is tested only against its own
     cell and the 8 around it, so time and memory are O(n·deg) rather than
-    O(n²).  The test is `dx*dx + dy*dy <= radius*radius`.
+    O(n²).  The test is `dx*dx + dy*dy <= radius*radius`, which gives the
+    same answer for (u, v) and (v, u).
     """
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
@@ -127,23 +137,26 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     extent = max(max(abs(p.x), abs(p.y)) for p in pts)
     cell = radius * (1.0 + 2.0 ** -20) + extent * 2.0 ** -50
     r2 = radius * radius
-    keys = [(math.floor(p.x / cell), math.floor(p.y / cell)) for p in pts]
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
     grid: dict[tuple[int, int], list[int]] = {}
-    for d, key in enumerate(keys):
-        grid.setdefault(key, []).append(d)
-    adjacency = []
-    for d, (cx, cy) in enumerate(keys):
-        p = pts[d]
-        near = []
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for u in grid.get((gx, gy), ()):
-                    q = pts[u]
-                    dx = p.x - q.x
-                    dy = p.y - q.y
-                    if dx * dx + dy * dy <= r2 and u != d:
-                        near.append(u)
-        adjacency.append(_ccw_sorted(pts, d, near))
+    for d in range(len(pts)):
+        grid.setdefault((math.floor(xs[d] / cell), math.floor(ys[d] / cell)), []).append(d)
+    # Each pair is tested once: within a cell, and from a cell to the four
+    # cells ahead of it (the other four see it from their side).
+    near: list[list[int]] = [[] for _ in pts]
+    for (cx, cy), members in grid.items():
+        candidates = members + [u for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
+                                for u in grid.get(key, ())]
+        for i, d in enumerate(members):
+            x, y = xs[d], ys[d]
+            for u in candidates[i + 1:]:
+                dx = x - xs[u]
+                dy = y - ys[u]
+                if dx * dx + dy * dy <= r2:
+                    near[d].append(u)
+                    near[u].append(d)
+    adjacency = [_ccw_sorted(pts, d, ns) for d, ns in enumerate(near)]
     return Network(pts, adjacency, radius)
 
 
@@ -241,17 +254,28 @@ def component_of(net: Network, src: DeviceId) -> set[DeviceId]:
 def cds_backbone(net: Network) -> set[DeviceId]:
     """Connected dominating set, one per component.
 
-    Greedy cover by descending degree, then BFS connectors until the chosen
-    set induces a connected subgraph within every component.  The contract is
+    Greedy cover by descending degree, then connectors until the chosen set
+    induces a connected subgraph within every component.  The contract is
     dominating + induced-connected, not minimality.
 
-    The connectors grow a hub incrementally: the hub starts as the induced
-    part holding the component's smallest chosen device, each connector links
-    it to the nearest chosen device outside it, and a BFS over chosen devices
-    from the connector's interior absorbs every part that joins.  Each step
-    touches only what it adds, so the whole pass stays O(n·deg) in memory.
+    The connectors grow a hub: it starts as the induced part holding the
+    component's smallest chosen device, and after each connector a BFS over
+    chosen devices from the connector absorbs every part that joins.  So no
+    chosen device outside the hub is adjacent to it, and since every device
+    is dominated, the nearest one is 2 or 3 hops away.  The connector is the
+    interior of the path a BFS from the hub's devices in id order would find
+    first.  A level-1 device v (adjacent to the hub, not in it) is found
+    from its smallest-id hub neighbour h, so its key is key1(v) = (h, index
+    of v in h's adjacency).  If some v has a chosen neighbour w outside the
+    hub, the goal is the lexicographically least (key1(v), index of w in v's
+    adjacency) and the connector is {v}.  Otherwise the goal is the least
+    ((key1(v), index of x in v's adjacency), index of w in x's adjacency)
+    over level-2 devices x and the connector is {v, x}.  Only v and x decide
+    the connector, and their minima are kept in lazy heaps as the hub grows,
+    so no search walks the whole hub for every connector.
     """
     n = net.n
+    adj = net.adjacency
     chosen: set[int] = set()
     covered = [False] * n
     for d in sorted(range(n), key=lambda d: (-net.degree(d), d)):
@@ -261,45 +285,64 @@ def cds_backbone(net: Network) -> set[DeviceId]:
             for u in net.adjacency[d]:
                 covered[u] = True
     for comp in connected_components(net):
-        comp_set = set(comp)
-        rest = chosen & comp_set  # chosen devices of the component not yet in the hub
+        rest = chosen.intersection(comp)  # chosen devices of the component not yet in the hub
         hub: set[int] = set()
-        seeds = {min(rest)}
+        key1: dict[int, tuple[int, int]] = {}  # level-1 devices, and former ones now in the hub
+        pairs: list = []  # (key1(v), v)
+        triples: list = []  # (key1(v), index of x in adj[v], v, x)
+        seeds = [min(rest)]
         while True:
-            hub |= seeds
-            rest -= seeds
+            hub.update(seeds)
+            rest.difference_update(seeds)
+            added = list(seeds)
             queue = deque(seeds)
             while queue:
                 d = queue.popleft()
-                for u in net.adjacency[d]:
+                for u in adj[d]:
                     if u in rest:
                         rest.discard(u)
                         hub.add(u)
+                        added.append(u)
                         queue.append(u)
             if not rest:
                 break
-            seeds = _connector_path(net, hub, rest, comp_set)
-            chosen |= seeds
+            lowered = set()
+            for h in added:
+                for i, v in enumerate(adj[h]):
+                    if v not in hub:
+                        old = key1.get(v)
+                        if old is None or (h, i) < old:
+                            key1[v] = (h, i)
+                            lowered.add(v)
+            for v in lowered:
+                k = key1[v]
+                heappush(pairs, (k, v))
+                for i, x in enumerate(adj[v]):
+                    if x not in hub and x not in key1:
+                        heappush(triples, (k, i, v, x))
+            seeds = _next_connector(adj, hub, rest, key1, pairs, triples)
+            chosen.update(seeds)
     return chosen
 
 
-def _connector_path(net: Network, start: set[int], goal: set[int], universe: set[int]) -> set[int]:
-    prev: dict[int, int] = {d: d for d in start}
-    queue = deque(sorted(start))
-    while queue:
-        d = queue.popleft()
-        for u in net.adjacency[d]:
-            if u not in universe or u in prev:
-                continue
-            prev[u] = d
-            if u in goal:
-                interior = set()
-                at = prev[u]
-                while at not in start:
-                    interior.add(at)
-                    at = prev[at]
-                return interior
-            queue.append(u)
+def _next_connector(adj: Sequence[tuple[int, ...]], hub: set[int], rest: set[int], key1: dict,
+                    pairs: list, triples: list) -> list[int]:
+    """The connector of the least valid pair entry, else of the least valid
+    triple entry, dropping invalid entries on the way.
+
+    An invalid entry stays invalid, since devices only join the hub and rest
+    only shrinks.  An entry pushed before key1(v) fell pops after the fresh
+    one, which either wins (so v joins the hub) or fails for a reason that
+    fails the old one too, so no entry needs its key checked.
+    """
+    while pairs:
+        _, v = heappop(pairs)
+        if v not in hub and not rest.isdisjoint(adj[v]):
+            return [v]
+    while triples:
+        _, _, v, x = heappop(triples)
+        if v not in hub and x not in hub and x not in key1 and not rest.isdisjoint(adj[x]):
+            return [v, x]
     raise RuntimeError("connector search failed inside a connected component")
 
 

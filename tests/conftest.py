@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import cmp_to_key
 from itertools import combinations
 
 import numpy as np
@@ -14,8 +15,6 @@ from geocastsim.netgraph import (
     DuplicatePointsError,
     GeocastInstance,
     Network,
-    _ccw_sorted,
-    _connector_path,
     connected_components,
     from_edges,
 )
@@ -93,6 +92,63 @@ def gabriel_oracle_keeps(points, u: int, v: int) -> bool:
     return True
 
 
+def reference_ccw_sorted(positions, d: int, nbrs) -> tuple[int, ...]:
+    """The comparator sort the builders used before the key-based sort: half
+    plane, then the sign of the rounded cross product, then distance, then
+    id, re-evaluated on every comparison."""
+    at = positions[d]
+
+    def half(u: int) -> int:
+        p = positions[u]
+        vx, vy = p.x - at.x, p.y - at.y
+        return 0 if (vy > 0.0 or (vy == 0.0 and vx > 0.0)) else 1
+
+    def cmp(u: int, v: int) -> int:
+        hu, hv = half(u), half(v)
+        if hu != hv:
+            return -1 if hu < hv else 1
+        c = reference_cross_ids(positions, at, u, v)
+        if c > 0.0:
+            return -1
+        if c < 0.0:
+            return 1
+        du = dist2(at, positions[u])
+        dv = dist2(at, positions[v])
+        if du != dv:
+            return -1 if du < dv else 1
+        return -1 if u < v else (1 if u > v else 0)
+
+    return tuple(sorted(nbrs, key=cmp_to_key(cmp)))
+
+
+def reference_cross_ids(positions, at: Point, u: int, v: int) -> float:
+    pu, pv = positions[u], positions[v]
+    return (pu.x - at.x) * (pv.y - at.y) - (pu.y - at.y) * (pv.x - at.x)
+
+
+def reference_connector_path(net: Network, start: set[int], goal: set[int], universe: set[int]) -> set[int]:
+    """The connector search the CDS used before its incremental heaps: a BFS
+    from the whole start set in id order, returning the interior of the path
+    to the first goal device it finds."""
+    prev: dict[int, int] = {d: d for d in start}
+    queue = deque(sorted(start))
+    while queue:
+        d = queue.popleft()
+        for u in net.adjacency[d]:
+            if u not in universe or u in prev:
+                continue
+            prev[u] = d
+            if u in goal:
+                interior = set()
+                at = prev[u]
+                while at not in start:
+                    interior.add(at)
+                    at = prev[at]
+                return interior
+            queue.append(u)
+    raise RuntimeError("connector search failed inside a connected component")
+
+
 def reference_unit_disk(points, radius: float) -> Network:
     """The all-pairs unit-disk builder: an n x n distance matrix in numpy,
     O(n^2) memory.  The cell-grid builder must match it tuple for tuple."""
@@ -109,7 +165,7 @@ def reference_unit_disk(points, radius: float) -> Network:
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     within = d2 <= radius * radius
     np.fill_diagonal(within, False)
-    adjacency = [_ccw_sorted(pts, d, np.flatnonzero(within[d]).tolist()) for d in range(n)]
+    adjacency = [reference_ccw_sorted(pts, d, np.flatnonzero(within[d]).tolist()) for d in range(n)]
     return Network(pts, adjacency, radius)
 
 
@@ -133,7 +189,7 @@ def reference_cds_backbone(net: Network) -> set[int]:
             parts = _induced_parts(net, chosen & comp_set)
             if len(parts) <= 1:
                 break
-            chosen |= _connector_path(net, parts[0], set().union(*parts[1:]), comp_set)
+            chosen |= reference_connector_path(net, parts[0], set().union(*parts[1:]), comp_set)
     return chosen
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     gabriel_oracle_keeps,
     minimum_cds_oracle,
     reference_cds_backbone,
+    reference_ccw_sorted,
     reference_unit_disk,
 )
 from geocastsim.experiments import ExperimentConfig, gen_scenario
@@ -83,11 +85,13 @@ class TestBuildUnitDisk:
 
 
 def assert_matches_reference(pts, radius):
-    """Cell-grid adjacency and incremental-hub CDS equal the all-pairs
-    builder and the re-partitioning CDS kept in conftest."""
+    """Cell-grid adjacency (and `from_edges` on the same edges) and the
+    incremental-hub CDS equal the all-pairs builder with the comparator sort
+    and the re-partitioning CDS kept in conftest."""
     net = build_unit_disk(pts, radius)
     ref = reference_unit_disk(pts, radius)
     assert net.adjacency == ref.adjacency
+    assert from_edges(pts, ref.edges(), radius).adjacency == ref.adjacency
     assert cds_backbone(net) == reference_cds_backbone(ref)
 
 
@@ -139,6 +143,82 @@ class TestReferenceEquivalence:
         for _ in range(5):
             pts = [P(x, y) for x, y in rng.uniform(-6.0, 2.0, size=(120, 2))]
             assert_matches_reference(pts, radius)
+
+    def test_cds_at_benchmark_scale(self):
+        # field 40, density 7 (n = 3,565): both connector branches fire many
+        # times here, and the re-partitioning oracle needs no n^2 memory
+        cfg = ExperimentConfig(field_side=40.0, density=7.0, seed=17)
+        for t in range(2):
+            sc = gen_scenario(cfg, t)
+            net = build_unit_disk(sc.devices, sc.radius)
+            assert net.n == 3565
+            assert cds_backbone(net) == reference_cds_backbone(net)
+
+
+def key_order(pts, d, nbrs):
+    """The ccw order by the (half, -vx/vy, dist2, id) key alone, before the
+    cross-product pass repairs it."""
+    at = pts[d]
+
+    def key(u):
+        vx, vy = pts[u].x - at.x, pts[u].y - at.y
+        half = 0 if (vy > 0.0 or (vy == 0.0 and vx > 0.0)) else 1
+        return (half, -vx / vy if vy != 0.0 else -math.inf, vx * vx + vy * vy, u)
+
+    return tuple(sorted(nbrs, key=key))
+
+
+def scaled(x, y, scales):
+    return [P(x * s, y * s) for s in scales]
+
+
+ULP_HALF = math.nextafter(0.5, 1.0)
+UNDER_HALF = math.nextafter(0.5, 0.0)
+
+
+class TestCcwNearTies:
+    """Adjacency order against the comparator sort kept in conftest, on
+    neighbours whose order the key alone can get wrong."""
+
+    CASES = {
+        # directions one ulp apart, at several distances
+        "one-ulp": ([P(0.0, 0.0), P(0.5, 0.5), P(0.5, ULP_HALF), P(0.5, UNDER_HALF),
+                     P(ULP_HALF, 0.5), P(0.25, 0.25), P(-0.5, -0.5), P(-0.5, -ULP_HALF),
+                     P(-ULP_HALF, -0.5)], 1.0),
+        # collinear through the origin up to rounding: the quotients -vx/vy
+        # tie, the rounded cross products do not, so the key puts the third
+        # device first-but-two places too late
+        "collinear-distances": ([P(0.0, 0.0)] + scaled(0.05, 0.225, (1, 2, 3, 4))
+                                + scaled(-0.05, -0.225, (1, 2, 3, 4))
+                                + scaled(0.1, 0.3, (1, 2, 3))
+                                + scaled(0.05, -0.225, (1, 2, 3, 4)), 1.0),
+        # on the x axis with vy == 0.0 and vy == -0.0, and a subnormal vy
+        # whose quotient overflows to the axis key -inf
+        "x-axis-signed-zero": ([P(0.0, 0.0), P(0.5, 0.0), P(0.25, -0.0), P(-0.5, -0.0),
+                                P(-0.25, 0.0), P(0.5, 1e-309), P(0.5, -1e-309),
+                                P(-0.5, 1e-309), P(-0.5, -1e-309), P(0.0, 0.5),
+                                P(0.0, -0.5), P(0.75, -0.0)], 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_comparator(self, name):
+        pts, radius = self.CASES[name]
+        assert_matches_reference(pts, radius)
+        net = from_edges(pts, build_unit_disk(pts, radius).edges(), radius)
+        for d in range(net.n):
+            assert net.adjacency[d] == reference_ccw_sorted(pts, d, set(net.adjacency[d]))
+
+    @pytest.mark.parametrize("name", ["collinear-distances", "x-axis-signed-zero"])
+    def test_repair_pass_is_needed(self, name):
+        pts, radius = self.CASES[name]
+        net = build_unit_disk(pts, radius)
+        assert any(key_order(pts, d, net.adjacency[d]) != net.adjacency[d] for d in range(net.n))
+
+    def test_signed_zero_axis_order(self):
+        pts, radius = self.CASES["x-axis-signed-zero"]
+        # the +x axis first, nearer first whatever the sign of the zero; the
+        # -x axis opens the lower half
+        assert build_unit_disk(pts, radius).adjacency[0] == (2, 1, 11, 5, 9, 7, 4, 3, 8, 10, 6)
 
 
 class TestGabriel:
@@ -213,6 +293,33 @@ class TestCds:
     def test_single_device(self):
         net = build_unit_disk([P(0, 0)], 1.0)
         assert cds_backbone(net) == {0}
+
+    def test_three_hop_connector(self):
+        # stars around 0 and 7 joined by the arm 1-5-6: greedy picks 0, 7 and
+        # 1 (for 5), so the hub {0, 1} is three hops from 7 and the connector
+        # has two interior devices, 5 and 6
+        pts = [P(0, 0), P(1, 0), P(0, 1), P(-1, 0), P(0, -1), P(2, 0), P(3, 0),
+               P(4, 0), P(4, 1), P(5, 0), P(4, -1)]
+        net = build_unit_disk(pts, 1.0)
+        assert bfs_hops(net, 1)[7] == 3
+        assert cds_backbone(net) == {0, 1, 5, 6, 7} == reference_cds_backbone(net)
+
+    def test_components_and_isolated_devices(self):
+        pts = (lattice(4, 4, step=0.9) + lattice(6, 1, y0=10.0)
+               + [P(20.0, 20.0), P(25.0, 0.0)] + lattice(3, 3, step=0.7, x0=30.0, y0=30.0))
+        net = build_unit_disk(pts, 1.0)
+        assert len(connected_components(net)) == 5
+        backbone = cds_backbone(net)
+        assert backbone == reference_cds_backbone(net)
+        assert {22, 23} <= backbone  # isolated devices dominate themselves
+
+    @given(st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+                    min_size=1, max_size=60, unique=True),
+           st.sampled_from([0.3, 0.45, 0.6]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_on_many_components(self, raw, radius):
+        net = build_unit_disk([P(x, y) for x, y in raw], radius)
+        assert cds_backbone(net) == reference_cds_backbone(net)
 
     def test_contract_on_random_graphs(self):
         rng = np.random.default_rng(31)
