@@ -10,7 +10,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from geocastsim.engine import Simulation, compute_metrics
+from geocastsim.cli import summary_line
+from geocastsim.engine import run
 from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
 from geocastsim.export import render_svg, write_trace
 from geocastsim.netgraph import save_scenario
@@ -33,14 +34,11 @@ def main() -> int:
     scenario = gen_scenario(cfg, 0)
     save_scenario(scenario, str(out / "scenario.json"))
     bundle = build_nets(scenario)
-    state = Simulation(bundle.nets, scenario.instance(), args.alg).run_to_quiescence()
-    metrics = compute_metrics(state, bundle.full, scenario.instance())
+    state, metrics = run(bundle.nets, scenario.instance(), args.alg, seed=scenario.seed)
     write_trace(state.transcript, str(out / "trace.jsonl"))
     (out / "network.svg").write_text(render_svg(
         scenario, bundle.full, state.used_edges, planar=bundle.nets.planar))
-    print(f"{args.alg}: cost={metrics.message_cost} latency={metrics.latency} "
-          f"stretch={metrics.path_stretch} "
-          f"delivered={len(metrics.region_covered)}/{metrics.target_count}")
+    print(f"{args.alg}: {summary_line(metrics)}")
     print(f"outputs in {out}/")
     return 0
 

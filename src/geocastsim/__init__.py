@@ -1,51 +1,13 @@
-"""Deterministic simulator for stateless geocast routing on random unit-disk networks."""
+"""Deterministic simulator for stateless geocast routing on random unit-disk networks.
 
-from .engine import (
-    Metrics,
-    Simulation,
-    SimulationFault,
-    SimState,
-    TransmissionEvent,
-    compute_metrics,
-    replay,
-    run,
-)
-from .experiments import (
-    ExperimentConfig,
-    ResultRow,
-    build_nets,
-    gen_scenario,
-    run_trial,
-    sweep,
-    write_results_csv,
-)
-from .geometry import LEFT, RIGHT, Point, Rect, Segment, next_hop, orientation, segments_intersect
-from .netgraph import (
-    GeocastInstance,
-    Network,
-    Scenario,
-    bfs_hops,
-    build_unit_disk,
-    cds_backbone,
-    from_edges,
-    gabriel_subgraph,
-    is_juncture,
-    load_scenario,
-    local_faces,
-    save_scenario,
-    wedge_qualifies,
-)
-from .protocol import ALGORITHMS, FLOOD, GREEDY, PLANAR, Message, RoutingNets, mate_matches
+The package root holds the library calls the README documents; everything else
+is imported from its own module (`geocastsim.engine`, `geocastsim.netgraph`, ...).
+"""
+
+from .engine import run
+from .experiments import ExperimentConfig, build_nets, gen_scenario
+from .netgraph import save_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS", "ExperimentConfig", "FLOOD", "GREEDY", "GeocastInstance", "LEFT",
-    "Message", "Metrics", "Network", "PLANAR", "Point", "Rect", "ResultRow", "RIGHT",
-    "RoutingNets", "Scenario", "SimState", "Simulation", "SimulationFault",
-    "Segment", "TransmissionEvent", "bfs_hops", "build_nets", "build_unit_disk",
-    "cds_backbone", "compute_metrics", "from_edges", "gabriel_subgraph",
-    "gen_scenario", "is_juncture", "load_scenario", "local_faces", "mate_matches",
-    "next_hop", "orientation", "replay", "run", "run_trial", "save_scenario",
-    "segments_intersect", "sweep", "wedge_qualifies", "write_results_csv",
-]
+__all__ = ["ExperimentConfig", "build_nets", "gen_scenario", "run", "save_scenario"]

@@ -8,7 +8,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import experiments, export
-from .engine import SimulationFault, compute_metrics, Simulation, deliver_dominated
+from .engine import POLICIES, Metrics, SimulationFault, run
 from .netgraph import ScenarioFormatError, load_scenario, save_scenario
 from .protocol import ALGORITHMS
 
@@ -73,7 +73,7 @@ def build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="run one delivery on a scenario file")
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--alg", default="sf", choices=tuple(ALGORITHMS))
-    run_p.add_argument("--policy", default="fifo", choices=("fifo", "lifo", "random"))
+    run_p.add_argument("--policy", default="fifo", choices=POLICIES)
     run_p.add_argument("--seed", type=int, default=None,
                        help="scheduler seed (defaults to the scenario's)")
     run_p.add_argument("--cds", action="store_true",
@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
     sweep_p.add_argument("--trials", type=int, default=100)
     sweep_p.add_argument("--algs", default="all")
     sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--policy", default="fifo", choices=("fifo", "lifo", "random"))
+    sweep_p.add_argument("--policy", default="fifo", choices=POLICIES)
     sweep_p.add_argument("--density", type=float, default=7.0)
     sweep_p.add_argument("--field", type=float, default=10.0)
     sweep_p.add_argument("--region", type=float, default=3.0)
@@ -124,23 +124,24 @@ def _fmt(v, digits: int = 4) -> str:
     return str(v)
 
 
+def summary_line(metrics: Metrics) -> str:
+    """The line `geocastsim run` prints for a delivery."""
+    return (f"cost={metrics.message_cost} latency={_fmt(metrics.latency)} "
+            f"stretch={_fmt(metrics.path_stretch)} "
+            f"delivered={len(metrics.region_covered)}/{metrics.target_count}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     bundle = experiments.build_nets(scenario, cds=args.cds)
-    inst = scenario.instance()
     seed = scenario.seed if args.seed is None else args.seed
-    sim = Simulation(bundle.nets, inst, args.alg, args.policy, seed=seed)
     try:
-        state = sim.run_to_quiescence()
+        state, metrics = run(bundle.nets, scenario.instance(), args.alg, args.policy, seed,
+                             net_full=bundle.full, backbone=bundle.backbone)
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
-    if bundle.backbone is not None:
-        deliver_dominated(state, bundle.full, inst, set(bundle.backbone))
-    metrics = compute_metrics(state, bundle.full, inst)
-    print(f"cost={metrics.message_cost} latency={_fmt(metrics.latency)} "
-          f"stretch={_fmt(metrics.path_stretch)} "
-          f"delivered={len(metrics.region_covered)}/{metrics.target_count}")
+    print(summary_line(metrics))
     if args.trace:
         export.write_trace(state.transcript, args.trace)
     return EXIT_OK

@@ -19,6 +19,7 @@ from .netgraph import DeviceId, GeocastInstance, Network, bfs_hops
 from .protocol import ALGORITHMS, Algorithm, Message, RoutingNets
 
 BUDGET_FACTOR = 50
+POLICIES = ("fifo", "lifo", "random")
 
 
 class SimulationFault(RuntimeError):
@@ -255,16 +256,8 @@ def compute_metrics(state: SimState, net_full: Network, inst: GeocastInstance) -
     )
 
 
-def run(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm] = "sf",
-        policy: str = "fifo", seed: int = 0,
-        step_budget: Optional[int] = None) -> tuple[SimState, Metrics]:
-    sim = Simulation(nets, inst, algorithm, policy, seed, step_budget)
-    state = sim.run_to_quiescence()
-    return state, compute_metrics(state, nets.full, inst)
-
-
 def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
-                      backbone: set) -> int:
+                      backbone: frozenset) -> int:
     """Backbone mode epilogue: one-hop delivery from visited backbone devices
     to dominated in-region neighbors that routing never reached."""
     extra = 0
@@ -283,6 +276,28 @@ def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
         state.arrival[d] = depth
         extra += 1
     return extra
+
+
+def run(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm] = "sf",
+        policy: str = "fifo", seed: int = 0, step_budget: Optional[int] = None, *,
+        net_full: Optional[Network] = None,
+        backbone: Optional[frozenset] = None) -> tuple[SimState, Metrics]:
+    """One delivery: simulate to quiescence, then measure.
+
+    `net_full` is the unrestricted unit-disk graph the metrics are taken on
+    (default `nets.full`).  When `nets` is restricted to a `backbone`, the run
+    ends with the one-hop delivery to dominated devices (`deliver_dominated`);
+    that needs `net_full`, since `nets.full` has no edges off the backbone.
+    Raises SimulationFault if the step budget runs out.
+    """
+    if net_full is None:
+        if backbone is not None:
+            raise ValueError("a backbone run needs net_full, the unrestricted unit-disk graph")
+        net_full = nets.full
+    state = Simulation(nets, inst, algorithm, policy, seed, step_budget).run_to_quiescence()
+    if backbone is not None:
+        deliver_dominated(state, net_full, inst, backbone)
+    return state, compute_metrics(state, net_full, inst)
 
 
 def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm],

@@ -9,19 +9,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import (
-    Metrics,
-    Simulation,
-    SimulationFault,
-    compute_metrics,
-    deliver_dominated,
-    substream,
-)
+from .engine import POLICIES, Metrics, SimulationFault, run, substream
 from .netgraph import (
     Network,
     Point,
@@ -50,15 +43,22 @@ class ExperimentConfig:
     cds: bool = False
 
     def __post_init__(self) -> None:
-        if self.region_side > self.field_side:
-            raise ValueError("region side must not exceed field side")
+        for name in ("field_side", "density"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0 <= self.region_side <= self.field_side:
+            raise ValueError(f"region_side must lie in [0, field_side = {self.field_side!r}], "
+                             f"got {self.region_side!r}")
+        if not math.isfinite(self.density * self.field_side * self.field_side):
+            raise ValueError("device count density * field_side**2 / pi is not finite")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
-        if self.density <= 0:
-            raise ValueError("density must be positive")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}")
 
 
 def device_count(density: float, field_side: float) -> int:
@@ -105,35 +105,18 @@ def build_nets(scenario: Scenario, cds: bool = False) -> NetBundle:
     return NetBundle(RoutingNets(restricted, planar), full, frozenset(backbone))
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    algorithm: str
-    fault: bool
-    metrics: Optional[Metrics]
-
-
 def run_trial(scenario: Scenario, algorithm: str, policy: str = "fifo",
               cds: bool = False, step_budget: Optional[int] = None,
-              bundle: Optional[NetBundle] = None) -> TrialResult:
+              bundle: Optional[NetBundle] = None) -> Optional[Metrics]:
+    """Metrics of one delivery on the scenario, or None if it faulted."""
     if bundle is None:
         bundle = build_nets(scenario, cds)
-    inst = scenario.instance()
-    sim = Simulation(bundle.nets, inst, algorithm, policy,
-                     seed=scenario.seed, step_budget=step_budget)
     try:
-        state = sim.run_to_quiescence()
+        _, metrics = run(bundle.nets, scenario.instance(), algorithm, policy, scenario.seed,
+                         step_budget, net_full=bundle.full, backbone=bundle.backbone)
     except SimulationFault:
-        return TrialResult(algorithm, True, None)
-    if bundle.backbone is not None:
-        deliver_dominated(state, bundle.full, inst, set(bundle.backbone))
-    return TrialResult(algorithm, False, compute_metrics(state, bundle.full, inst))
-
-
-RESULT_COLUMNS = (
-    "axis", "value", "algorithm", "trials", "faults",
-    "mean_cost", "ci_cost", "mean_norm_cost", "ci_norm_cost",
-    "mean_stretch", "ci_stretch", "median_cost", "delivery_rate",
-)
+        return None
+    return metrics
 
 
 @dataclass(frozen=True)
@@ -151,6 +134,9 @@ class ResultRow:
     ci_stretch: Optional[float]
     median_cost: Optional[float]
     delivery_rate: Optional[float]
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def mean_ci(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
@@ -175,9 +161,11 @@ def _with_axis_value(cfg: ExperimentConfig, axis: str, value: float) -> Experime
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def aggregate(axis: str, value: float, algorithm: str, results: Sequence[TrialResult]) -> ResultRow:
-    ok = [r.metrics for r in results if not r.fault]
-    faults = sum(1 for r in results if r.fault)
+def aggregate(axis: str, value: float, algorithm: str,
+              results: Sequence[Optional[Metrics]]) -> ResultRow:
+    """One CSV row from the trials' metrics; None marks a faulted trial."""
+    ok = [m for m in results if m is not None]
+    faults = len(results) - len(ok)
     costs = [float(m.message_cost) for m in ok]
     norm = [m.normalized_cost for m in ok if m.normalized_cost is not None]
     stretch = [m.path_stretch for m in ok if m.path_stretch is not None]
@@ -204,7 +192,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Res
     rows = []
     for value in values:
         point_cfg = _with_axis_value(cfg, axis, value)
-        per_alg: dict[str, list[TrialResult]] = {alg: [] for alg in cfg.algorithms}
+        per_alg: dict[str, list[Optional[Metrics]]] = {alg: [] for alg in cfg.algorithms}
         for trial in range(cfg.trials):
             scenario = gen_scenario(point_cfg, trial)
             bundle = build_nets(scenario, cfg.cds)

@@ -49,6 +49,21 @@ class TestGenerate:
         assert main(["generate", "--bogus", "1", "-o", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["generate", "--density", "inf"], "density"),
+    (["generate", "--field", "nan"], "field_side"),
+    (["generate", "--region", "-1"], "region_side"),
+    (["sweep", "--axis", "density", "--values", "inf", "--trials", "1"], "density"),
+    (["sweep", "--axis", "field", "--values", "1e308", "--trials", "1"], "field_side"),
+], ids=["generate-infinite-density", "generate-nan-field", "generate-negative-region",
+        "sweep-infinite-density", "sweep-overflowing-field"])
+def test_unsimulatable_config_exits_one(tmp_path, capsys, argv, field):
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRun:
     def test_path_fixture_metrics(self, path_scenario, capsys):
         code = main(["run", "--scenario", path_scenario, "--alg", "sf"])

@@ -10,10 +10,17 @@ from geocastsim.engine import (
     replay,
     run,
 )
-from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
+from geocastsim.cli import main
+from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario, run_trial
 from geocastsim.export import read_trace, used_edges_from_trace, write_trace
 from geocastsim.geometry import Rect
-from geocastsim.netgraph import GeocastInstance, bfs_hops, build_unit_disk, gabriel_subgraph
+from geocastsim.netgraph import (
+    GeocastInstance,
+    bfs_hops,
+    build_unit_disk,
+    gabriel_subgraph,
+    save_scenario,
+)
 from geocastsim.protocol import RoutingNets
 
 FAR_REGION = Rect.from_bounds(50.0, 50.0, 51.0, 51.0)
@@ -211,3 +218,39 @@ class TestBackboneDelivery:
         assert state.steps == before + 1
         metrics = compute_metrics(state, full, inst)
         assert metrics.delivery_rate == 1.0
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    @pytest.mark.parametrize("algorithm", ["sf", "spg", "sf-spg", "sf-spg-g"])
+    def test_run_with_backbone_matches_run_trial_and_cli(self, tmp_path, capsys,
+                                                         algorithm, trial):
+        sc = gen_scenario(ExperimentConfig(seed=3), trial)
+        bundle = build_nets(sc, cds=True)
+        state, metrics = run(bundle.nets, sc.instance(), algorithm, seed=sc.seed,
+                             net_full=bundle.full, backbone=bundle.backbone)
+        assert metrics.delivery_rate in (None, 1.0)
+        assert metrics == run_trial(sc, algorithm, cds=True)
+
+        path, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+        save_scenario(sc, str(path))
+        assert main(["run", "--scenario", str(path), "--alg", algorithm, "--cds",
+                     "--trace", str(trace)]) == 0
+        line = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+        assert line["cost"] == str(metrics.message_cost)
+        assert line["delivered"] == f"{len(metrics.region_covered)}/{metrics.target_count}"
+        assert read_trace(str(trace)) == state.transcript
+
+    def test_backbone_run_without_full_graph_rejected(self):
+        sc = gen_scenario(ExperimentConfig(seed=3), 0)
+        bundle = build_nets(sc, cds=True)
+        with pytest.raises(ValueError, match="net_full"):
+            run(bundle.nets, sc.instance(), "sf-spg", backbone=bundle.backbone)
+
+    def test_backbone_run_reaches_the_region_beyond_the_backbone(self):
+        # seed 3, trial 0: routing on the backbone alone covers 6 of the
+        # 17 reachable in-region devices; the epilogue delivers the rest
+        sc = gen_scenario(ExperimentConfig(seed=3), 0)
+        bundle = build_nets(sc, cds=True)
+        _, metrics = run(bundle.nets, sc.instance(), "sf-spg", seed=sc.seed,
+                         net_full=bundle.full, backbone=bundle.backbone)
+        assert (metrics.message_cost, len(metrics.region_covered), metrics.target_count) \
+            == (284, 17, 17)
