@@ -30,6 +30,11 @@ from .protocol import ALGORITHMS, RoutingNets
 _PURPOSE_SCENARIO = 1
 _PURPOSE_RUN_SEED = 2
 
+# Largest device count a configuration may ask for.  A network holds a few
+# Python objects per device and per edge, so a million devices already take
+# hundreds of megabytes; far larger counts would fail on allocation.
+MAX_DEVICES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -50,8 +55,10 @@ class ExperimentConfig:
         if not 0 <= self.region_side <= self.field_side:
             raise ValueError(f"region_side must lie in [0, field_side = {self.field_side!r}], "
                              f"got {self.region_side!r}")
-        if not math.isfinite(self.density * self.field_side * self.field_side):
-            raise ValueError("device count density * field_side**2 / pi is not finite")
+        count = self.density * self.field_side * self.field_side / math.pi
+        if not count <= MAX_DEVICES:
+            raise ValueError(f"device count density * field_side**2 / pi = {count:.3g} "
+                             f"exceeds {MAX_DEVICES:,}")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
         for alg in self.algorithms:

@@ -9,18 +9,24 @@ from .engine import TransmissionEvent, edge_key
 from .netgraph import Network, Scenario
 
 
+_RECORD = '{"step": %d, "mode": %s, "dir": %s, "sender": %d, "receiver": %d, "depth": %d}\n'
+
+
+class _JsonText(dict):
+    """JSON text of each mode and dir value (None becomes null), made once."""
+
+    def __missing__(self, value):
+        self[value] = text = json.dumps(value)
+        return text
+
+
 def write_trace(transcript: Iterable[TransmissionEvent], path: str) -> None:
+    """One record per line, with the bytes `json.dumps` gives for the dict
+    {step, mode, dir, sender, receiver, depth}, filled into a fixed template."""
+    text = _JsonText()
     with open(path, "w", encoding="utf-8") as fh:
         for ev in transcript:
-            fh.write(json.dumps({
-                "step": ev.step,
-                "mode": ev.mode,
-                "dir": ev.dir,
-                "sender": ev.sender,
-                "receiver": ev.receiver,
-                "depth": ev.depth,
-            }))
-            fh.write("\n")
+            fh.write(_RECORD % (ev.step, text[ev.mode], text[ev.dir], ev.sender, ev.receiver, ev.depth))
 
 
 def read_trace(path: str) -> list[TransmissionEvent]:

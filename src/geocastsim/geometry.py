@@ -1,8 +1,9 @@
 """Planar predicates and angular sweeps that the routing graph and face traversal build on.
 
-All comparisons are exact sign tests on float cross/dot products; no angles are
-ever extracted, so traversal decisions are deterministic and consistent with
-the counter-clockwise adjacency order used elsewhere.
+No angles are ever extracted, so traversal decisions are deterministic and
+consistent with the counter-clockwise adjacency order used elsewhere.
+`orientation` and `dot_sign` return exact signs; the sweeps below compare
+rounded cross and dot products.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ COUNTERCLOCKWISE = 1
 CLOCKWISE = -1
 COLLINEAR = 0
 
-# relative error bound of the float cross product (Shewchuk's ccwerrboundA),
-# and an absolute floor that covers products rounded in the subnormal range
-_ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
-_UNDERFLOW_FLOOR = 2.0 ** -1000
+# relative error bound of a float sum or difference of two products of
+# rounded differences (Shewchuk's ccwerrboundA), and an absolute floor that
+# covers products rounded in the subnormal range
+PRODUCT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+UNDERFLOW_FLOOR = 2.0 ** -1000
 
 LEFT = "L"
 RIGHT = "R"
@@ -90,13 +92,31 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     detl = (q.x - p.x) * (r.y - p.y)
     detr = (q.y - p.y) * (r.x - p.x)
     det = detl - detr
-    bound = _ORIENT_ERR * (abs(detl) + abs(detr)) + _UNDERFLOW_FLOOR
+    bound = PRODUCT_ERR * (abs(detl) + abs(detr)) + UNDERFLOW_FLOOR
     if det > bound:
         return COUNTERCLOCKWISE
     if det < -bound:
         return CLOCKWISE
     px, py = Fraction(p.x), Fraction(p.y)
     exact = (Fraction(q.x) - px) * (Fraction(r.y) - py) - (Fraction(q.y) - py) * (Fraction(r.x) - px)
+    return (exact > 0) - (exact < 0)
+
+
+def dot_sign(p: Point, q: Point, w: Point) -> int:
+    """Exact sign of the dot product of (p - w) with (q - w): negative, zero
+    or positive as the angle p-w-q is obtuse, right or acute, so w lies in
+    the closed disk with diameter pq iff the sign is <= 0.  Float filter and
+    rational fallback as in `orientation`."""
+    a = (p.x - w.x) * (q.x - w.x)
+    b = (p.y - w.y) * (q.y - w.y)
+    dot = a + b
+    bound = PRODUCT_ERR * (abs(a) + abs(b)) + UNDERFLOW_FLOOR
+    if dot > bound:
+        return 1
+    if dot < -bound:
+        return -1
+    wx, wy = Fraction(w.x), Fraction(w.y)
+    exact = (Fraction(p.x) - wx) * (Fraction(q.x) - wx) + (Fraction(p.y) - wy) * (Fraction(q.y) - wy)
     return (exact > 0) - (exact < 0)
 
 

@@ -160,9 +160,10 @@ def spg_initiate(nets: RoutingNets, inst: GeocastInstance, depth: int = 1) -> li
 def _continuation(net: Network, d: DeviceId, m: Message) -> tuple[DeviceId, tuple[DeviceId, DeviceId]]:
     """Next hop of a planar message at d, plus the wedge of the face it is
     traversing (the face between the incoming edge and the continuation)."""
-    idx = next_hop_index(net.positions[d], net.positions[m.sender],
-                         net.neighbor_points[d], m.dir)
-    nxt = net.adjacency[d][idx]
+    pos = net.positions
+    nbrs = net.adjacency[d]
+    idx = next_hop_index(pos[d], pos[m.sender], [pos[u] for u in nbrs], m.dir)
+    nxt = nbrs[idx]
     current = (nxt, m.sender) if m.dir == RIGHT else (m.sender, nxt)
     return nxt, current
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
@@ -82,12 +83,16 @@ def next_hop_oracle(at: Point, prev: Point, neighbors, rule: str) -> Point:
 
 
 def gabriel_oracle_keeps(points, u: int, v: int) -> bool:
-    """Diametral-disk test by the obtuse-angle form, scanning every device."""
+    """Closed diametral-disk test in exact rationals, scanning every device:
+    the edge goes iff some third device w has (pu - pw)·(pv - pw) <= 0."""
     pu, pv = points[u], points[v]
+    ux, uy, vx, vy = Fraction(pu.x), Fraction(pu.y), Fraction(pv.x), Fraction(pv.y)
+    reach = 2.0 * dist2(pu, pv)  # a witness is no farther from u than v is
     for w, pw in enumerate(points):
-        if w in (u, v):
+        if w in (u, v) or dist2(pu, pw) > reach:
             continue
-        if dist2(pu, pw) + dist2(pw, pv) < dist2(pu, pv):
+        wx, wy = Fraction(pw.x), Fraction(pw.y)
+        if (ux - wx) * (vx - wx) + (uy - wy) * (vy - wy) <= 0:
             return False
     return True
 

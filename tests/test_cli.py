@@ -55,8 +55,11 @@ class TestGenerate:
     (["generate", "--region", "-1"], "region_side"),
     (["sweep", "--axis", "density", "--values", "inf", "--trials", "1"], "density"),
     (["sweep", "--axis", "field", "--values", "1e308", "--trials", "1"], "field_side"),
+    (["generate", "--density", "1e12"], "density"),
+    (["generate", "--field", "1e100"], "field_side"),
 ], ids=["generate-infinite-density", "generate-nan-field", "generate-negative-region",
-        "sweep-infinite-density", "sweep-overflowing-field"])
+        "sweep-infinite-density", "sweep-overflowing-field", "generate-unallocatable-density",
+        "generate-unallocatable-field"])
 def test_unsimulatable_config_exits_one(tmp_path, capsys, argv, field):
     assert main(argv + ["-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

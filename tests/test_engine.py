@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import P, nets_from_edges, sf_border_violations
 from geocastsim.engine import (
     Simulation,
     SimulationFault,
+    TransmissionEvent,
     compute_metrics,
     deliver_dominated,
     replay,
@@ -198,6 +201,19 @@ class TestReplayAndTrace:
         events = read_trace(str(path))
         assert events == state.transcript
         assert used_edges_from_trace(events) == state.used_edges
+
+    def test_trace_bytes_match_json_dumps(self, tmp_path):
+        events = [TransmissionEvent(1, "flood", None, 0, 1, 1),
+                  TransmissionEvent(2, "planar", "L", 1, 12, 2),
+                  TransmissionEvent(3, "planar", "R", 12, 3565, 2),
+                  TransmissionEvent(40213, "greedy", None, 3565, 7, 187)]
+        path = tmp_path / "trace.jsonl"
+        write_trace(events, str(path))
+        expected = "".join(json.dumps({"step": ev.step, "mode": ev.mode, "dir": ev.dir,
+                                       "sender": ev.sender, "receiver": ev.receiver,
+                                       "depth": ev.depth}) + "\n" for ev in events)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_trace(str(path)) == events
 
 
 class TestBackboneDelivery:

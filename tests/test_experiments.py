@@ -77,6 +77,7 @@ class TestScenarioGeneration:
         ({"region_side": -1.0}, "region_side"),
         ({"region_side": float("nan")}, "region_side"),
         ({"field_side": 1e200}, "field_side"),
+        ({"density": 1e6}, "density"),  # 3.2e7 devices in the default field
         ({"policy": "round-robin"}, "policy"),
     ])
     def test_unsimulatable_config_names_the_field(self, kwargs, field):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from conftest import (
     reference_ccw_sorted,
     reference_unit_disk,
 )
+from geocastsim import netgraph
 from geocastsim.experiments import ExperimentConfig, gen_scenario
-from geocastsim.geometry import LEFT, RIGHT, Rect, next_hop_index
+from geocastsim.geometry import LEFT, RIGHT, Rect, dot_sign, next_hop_index, orientation
 from geocastsim.netgraph import (
     DuplicatePointsError,
     GeocastInstance,
@@ -66,7 +68,7 @@ class TestBuildUnitDisk:
         for d in range(net.n):
             at = net.positions[d]
             angles = [math.atan2(p.y - at.y, p.x - at.x) % (2 * math.pi)
-                      for p in net.neighbor_points[d]]
+                      for p in [net.positions[u] for u in net.adjacency[d]]]
             assert angles == sorted(angles)
 
     def test_adjacency_symmetric(self):
@@ -174,6 +176,8 @@ def scaled(x, y, scales):
 
 ULP_HALF = math.nextafter(0.5, 1.0)
 UNDER_HALF = math.nextafter(0.5, 0.0)
+OVER_QUARTER = math.nextafter(0.25, 1.0)
+UNDER_QUARTER = math.nextafter(0.25, 0.0)
 
 
 class TestCcwNearTies:
@@ -274,6 +278,125 @@ class TestGabriel:
             full = build_unit_disk(pts, 1.0)
             gab = gabriel_subgraph(full)
             assert connected_components(gab) == connected_components(full)
+
+
+def proper_crossings(pts, edges):
+    """Pairs of edges that cross at a point interior to both, by exact
+    orientation, with a bounding-box reject first."""
+    found = []
+    for i, (a, b) in enumerate(edges):
+        ax0, ax1 = sorted((pts[a].x, pts[b].x))
+        ay0, ay1 = sorted((pts[a].y, pts[b].y))
+        for c, d in edges[i + 1:]:
+            if {a, b} & {c, d} or max(pts[c].x, pts[d].x) < ax0 or min(pts[c].x, pts[d].x) > ax1 \
+                    or max(pts[c].y, pts[d].y) < ay0 or min(pts[c].y, pts[d].y) > ay1:
+                continue
+            if (orientation(pts[a], pts[b], pts[c]) * orientation(pts[a], pts[b], pts[d]) < 0
+                    and orientation(pts[c], pts[d], pts[a]) * orientation(pts[c], pts[d], pts[b]) < 0):
+                found.append(((a, b), (c, d)))
+    return found
+
+
+def assert_overlay_sound(pts, radius):
+    """Criterion 9 on one point set: the overlay is the exact closed-disk
+    Gabriel graph, has no proper crossings and keeps the unit-disk graph's
+    components."""
+    full = build_unit_disk(pts, radius)
+    gab = gabriel_subgraph(full)
+    assert set(gab.edges()) == {(u, v) for u, v in full.edges() if gabriel_oracle_keeps(pts, u, v)}
+    assert proper_crossings(pts, list(gab.edges())) == []
+    assert connected_components(gab) == connected_components(full)
+
+
+class TestGabrielDegenerate:
+    """Cocircular and collinear devices, where the closed disk matters."""
+
+    def test_cocircular_square_drops_both_diagonals(self):
+        pts = [P(0.0, 0.0), P(0.5, 0.0), P(0.5, 0.5), P(0.0, 0.5)]
+        full = build_unit_disk(pts, 1.0)
+        assert full.edge_count() == 6
+        assert set(gabriel_subgraph(full).edges()) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+
+    @pytest.mark.parametrize("pts, radius", [
+        (lattice(9, 9), 1.0),
+        (lattice(9, 9), 1.5),                          # diagonals: cocircular unit squares
+        (lattice(12, 12, step=0.3), 1.0),
+        (lattice(7, 7, step=0.5, x0=-1.75, y0=-1.75), 2.5),
+        (lattice(30, 1, step=0.5), 1.0),               # one collinear row
+        (lattice(20, 3, step=0.3, y0=-0.3), 1.0),      # collinear rows
+    ], ids=["unit-lattice", "unit-lattice-diagonals", "lattice-0.3", "lattice-0.5",
+            "row", "rows-0.3"])
+    def test_lattices(self, pts, radius):
+        assert_overlay_sound(pts, radius)
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=2, max_size=30, unique=True),
+           st.sampled_from([0.25, 0.5, 0.75]))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_grid_points(self, raw, step):
+        # grid points make many right angles at witnesses
+        assert_overlay_sound([P(x * step, y * step) for x, y in raw], 1.0)
+
+    @pytest.mark.parametrize("w, kept", [
+        ((0.25, UNDER_QUARTER), False),
+        ((0.25, 0.25), False),
+        ((0.25, OVER_QUARTER), True),
+    ], ids=["one-ulp-inside", "on-the-circle", "one-ulp-outside"])
+    def test_witness_within_float_error(self, monkeypatch, w, kept):
+        # (0.25, y) lies within rounding error of the circle with diameter
+        # (0, 0)-(0.5, 0), so the float filter defers to the exact sign
+        self.assert_decided_exactly(monkeypatch, [P(0.0, 0.0), P(0.5, 0.0), P(*w)], kept)
+
+    @pytest.mark.parametrize("pts, kept", [
+        # the float dot product rounds to 0.0, the exact one is 2.4e-18
+        ([P(0.2448319779690169, 0.2104789386956465), P(0.8805817593662799, 0.42291764838969603),
+          P(0.49363140019732393, -0.01125837605926)], True),
+        # the float dot product is 2.8e-17, the exact one is -2.1e-18
+        ([P(0.003037288082221923, 0.4854231292990312), P(0.8371914973042014, 0.6584020634401193),
+          P(0.43260993808009207, 0.14614552337036174)], False),
+    ], ids=["float-says-on-the-circle", "float-says-outside"])
+    def test_float_sign_is_wrong(self, monkeypatch, pts, kept):
+        self.assert_decided_exactly(monkeypatch, pts, kept)
+
+    @staticmethod
+    def assert_decided_exactly(monkeypatch, pts, kept):
+        """Edge (0, 1) with witness 2 is decided by `dot_sign`, from both ends."""
+        calls = []
+
+        def spy(p, q, w):
+            calls.append((p, q, w))
+            return dot_sign(p, q, w)
+
+        monkeypatch.setattr(netgraph, "dot_sign", spy)
+        gab = gabriel_subgraph(build_unit_disk(pts, 1.0))
+        assert (1 in gab.adjacency[0], 0 in gab.adjacency[1]) == (kept, kept)
+        assert gabriel_oracle_keeps(pts, 0, 1) == kept
+        assert (pts[0], pts[1], pts[2]) in calls and (pts[1], pts[0], pts[2]) in calls
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes allocated at the peak of one call, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestConstructionMemory:
+    """At benchmark scale (field 40, density 7, n = 3,565) one build and one
+    overlay each hold at most 3 MB at their traced peak: the array code keeps
+    its temporaries O(edges), not O(sum of squared degrees)."""
+
+    LIMIT = 3_000_000
+
+    def test_peaks(self):
+        sc = gen_scenario(ExperimentConfig(field_side=40.0, density=7.0, seed=17), 0)
+        net = build_unit_disk(sc.devices, sc.radius)
+        assert net.n == 3565
+        assert traced_peak(build_unit_disk, sc.devices, sc.radius) <= self.LIMIT
+        assert traced_peak(gabriel_subgraph, net) <= self.LIMIT
 
 
 class TestCds:
@@ -406,7 +529,7 @@ class TestLocalFaces:
                     for _ in range(2 * len(directed) + 1):
                         u, v = walk
                         idx = next_hop_index(net.positions[v], net.positions[u],
-                                             net.neighbor_points[v], rule)
+                                             [net.positions[w] for w in net.adjacency[v]], rule)
                         walk = (v, net.adjacency[v][idx])
                         assert walk in remaining, "orbits must not overlap"
                         remaining.discard(walk)
