@@ -165,6 +165,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     events = export.read_trace(args.trace)
+    n = len(scenario.devices)
+    for ev in events:
+        for d in (ev.sender, ev.receiver):
+            if not 0 <= d < n:
+                raise _UsageError(f"trace step {ev.step}: device {d} is not in the scenario "
+                                  f"(ids run 0..{n - 1})")
     used = export.used_edges_from_trace(events)
     bundle = experiments.build_nets(scenario)
     if args.format == "dot":

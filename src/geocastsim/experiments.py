@@ -196,9 +196,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Res
     algorithms see the same scenarios."""
     if not values:
         raise ValueError("sweep needs at least one value")
+    points = [(value, _with_axis_value(cfg, axis, value)) for value in values]  # all checked before any trial
     rows = []
-    for value in values:
-        point_cfg = _with_axis_value(cfg, axis, value)
+    for value, point_cfg in points:
         per_alg: dict[str, list[Optional[Metrics]]] = {alg: [] for alg in cfg.algorithms}
         for trial in range(cfg.trials):
             scenario = gen_scenario(point_cfg, trial)

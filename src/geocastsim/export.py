@@ -29,6 +29,13 @@ def write_trace(transcript: Iterable[TransmissionEvent], path: str) -> None:
             fh.write(_RECORD % (ev.step, text[ev.mode], text[ev.dir], ev.sender, ev.receiver, ev.depth))
 
 
+# the record keys in field order, each with the exact types it accepts (so
+# no bool passes for an int) and their name in a message
+_INT, _STR = ((int,), "an integer"), ((str,), "a string")
+_FIELDS = {"step": _INT, "mode": _STR, "dir": ((str, type(None)), "null or a string"),
+           "sender": _INT, "receiver": _INT, "depth": _INT}
+
+
 def read_trace(path: str) -> list[TransmissionEvent]:
     events = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -40,15 +47,14 @@ def read_trace(path: str) -> list[TransmissionEvent]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"trace line {line_no}: invalid JSON ({exc.msg})") from None
-            try:
-                events.append(TransmissionEvent(
-                    step=rec["step"], mode=rec["mode"], dir=rec["dir"],
-                    sender=rec["sender"], receiver=rec["receiver"], depth=rec["depth"],
-                ))
-            except KeyError as exc:
-                raise ValueError(f"trace line {line_no}: missing key {exc}") from None
-            except TypeError:
-                raise ValueError(f"trace line {line_no}: expected a JSON object") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"trace line {line_no}: expected a JSON object")
+            for key, (kinds, name) in _FIELDS.items():
+                if key not in rec:
+                    raise ValueError(f"trace line {line_no}: missing key {key!r}")
+                if type(rec[key]) not in kinds:
+                    raise ValueError(f"trace line {line_no}: key {key!r} must be {name}")
+            events.append(TransmissionEvent(*[rec[key] for key in _FIELDS]))
     return events
 
 

@@ -1,16 +1,15 @@
-"""Planar predicates and angular sweeps that the routing graph and face traversal build on.
+"""Planar predicates that the routing graph and face traversal build on.
 
-No angles are ever extracted, so traversal decisions are deterministic and
-consistent with the counter-clockwise adjacency order used elsewhere.
-`orientation` and `dot_sign` return exact signs; the sweeps below compare
-rounded cross and dot products.
+No angles are ever extracted.  `orientation` and `dot_sign` return exact
+signs; `wedge_contains_direction` compares rounded cross and dot products.
+Face traversal itself needs no predicate here: it is a rotation on the
+counter-clockwise adjacency that `netgraph` builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 COUNTERCLOCKWISE = 1
 CLOCKWISE = -1
@@ -154,62 +153,6 @@ def segment_intersects_rect(seg: Segment, rect: Rect) -> bool:
     if rect.contains(seg.a) or rect.contains(seg.b):
         return True
     return any(segments_intersect(seg, side) for side in rect.sides())
-
-
-def _sweep_phase(cr: float, dt: float, rule: str) -> int:
-    # Order of encounter when sweeping away from the reference ray:
-    # 0 = strictly on the sweep side, 1 = exactly opposite, 2 = far side,
-    # 3 = aligned with the reference ray (a full turn away).
-    if cr == 0.0:
-        return 3 if dt > 0.0 else 1
-    if rule == RIGHT:
-        return 0 if cr < 0.0 else 2
-    return 0 if cr > 0.0 else 2
-
-
-def next_hop_index(at: Point, prev: Point, neighbors: Sequence[Point], rule: str) -> int:
-    """Index of the first neighbor met when sweeping from the ray at->prev.
-
-    Rule RIGHT sweeps clockwise, LEFT counter-clockwise.  A neighbor exactly in
-    the direction of `prev` is considered last (full sweep), which makes a
-    dead-end bounce back to its only neighbor.  Angular ties break by distance,
-    nearer first.
-    """
-    if not neighbors:
-        raise ValueError("next_hop needs at least one neighbor")
-    dx = prev.x - at.x
-    dy = prev.y - at.y
-    best = -1
-    b_phase = 0
-    b_wx = b_wy = b_d2 = 0.0
-    for i, p in enumerate(neighbors):
-        wx = p.x - at.x
-        wy = p.y - at.y
-        cr = dx * wy - dy * wx
-        dt = dx * wx + dy * wy
-        phase = _sweep_phase(cr, dt, rule)
-        d2 = wx * wx + wy * wy
-        if best < 0:
-            earlier = True
-        elif phase != b_phase:
-            earlier = phase < b_phase
-        elif phase in (1, 3):
-            earlier = d2 < b_d2
-        else:
-            c2 = wx * b_wy - wy * b_wx  # cross(candidate, best)
-            if c2 == 0.0:
-                earlier = d2 < b_d2
-            elif rule == RIGHT:
-                earlier = c2 < 0.0
-            else:
-                earlier = c2 > 0.0
-        if earlier:
-            best, b_phase, b_wx, b_wy, b_d2 = i, phase, wx, wy, d2
-    return best
-
-
-def next_hop(at: Point, prev: Point, neighbors: Sequence[Point], rule: str) -> Point:
-    return neighbors[next_hop_index(at, prev, neighbors, rule)]
 
 
 def wedge_contains_direction(at: Point, u: Point, w: Point, toward: Point) -> bool:

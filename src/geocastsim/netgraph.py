@@ -7,7 +7,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -174,7 +174,8 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
         (d2[1:] < d2[:-1]) | ((d2[1:] == d2[:-1]) & (dst[1:] < dst[:-1])))))
     redo = np.unique(src[1:][misplaced])
     del c, d2, upper, same, misplaced
-    adjacency = _adjacency(src, dst, n)
+    ids = list(range(n))  # one int object per device, shared by every entry and overlay
+    adjacency = _adjacency(src, list(map(ids.__getitem__, dst.tolist())), n)
     for d in redo.tolist():
         adjacency[d] = _ccw_sorted(pts, d, adjacency[d])
     return Network(pts, adjacency, radius)
@@ -274,8 +275,10 @@ def gabriel_subgraph(net: Network) -> Network:
             inside[i] = dot_sign(pos[u[i]], pos[v[i]], pos[w[i]]) <= 0
         kept[live[inside]] = False
         live = live[~inside]
-    # a subset of a ccw-sorted list stays sorted
-    return Network(pos, _adjacency(src[kept], dst[kept], n), net.radius)
+    # a subset of a ccw-sorted list stays sorted; compressing the input
+    # tuples keeps the entries the very int objects of `net`
+    entries = list(compress(chain.from_iterable(adj), kept.tolist()))
+    return Network(pos, _adjacency(src[kept], entries, n), net.radius)
 
 
 def _coordinates(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +286,11 @@ def _coordinates(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
             np.fromiter((p.y for p in points), np.float64, len(points)))
 
 
-def _adjacency(src: np.ndarray, dst: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """Adjacency tuples of n devices from directed edges sorted by source."""
+def _adjacency(src: np.ndarray, entries: list[int], n: int) -> list[tuple[int, ...]]:
+    """Adjacency tuples of n devices from directed edges sorted by source:
+    `src` holds their sources and `entries` their destinations."""
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    flat = dst.tolist()
-    return [tuple(flat[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+    return [tuple(entries[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
 
 def induced_subgraph(net: Network, keep: Iterable[DeviceId]) -> Network:
@@ -332,10 +335,6 @@ def connected_components(net: Network) -> list[list[DeviceId]]:
                     queue.append(u)
         comps.append(sorted(comp))
     return comps
-
-
-def component_of(net: Network, src: DeviceId) -> set[DeviceId]:
-    return {d for d, h in enumerate(bfs_hops(net, src)) if h is not None}
 
 
 def cds_backbone(net: Network) -> set[DeviceId]:
@@ -489,12 +488,6 @@ def wedge_qualifies(net: Network, d: DeviceId, wedge: tuple[DeviceId, DeviceId],
     return edge_qualifies(net, d, u, inst) or edge_qualifies(net, d, w, inst)
 
 
-def is_juncture(net: Network, d: DeviceId, inst: GeocastInstance) -> bool:
-    if inst.region.contains(net.positions[d]):
-        return True
-    return any(edge_qualifies(net, d, u, inst) for u in net.adjacency[d])
-
-
 @dataclass(frozen=True)
 class Scenario:
     """The immutable world of one simulation: geometry, source, region, seed."""
@@ -508,9 +501,6 @@ class Scenario:
 
     def instance(self) -> GeocastInstance:
         return GeocastInstance.create(self.source, self.devices[self.source], self.region)
-
-    def in_region(self) -> set[DeviceId]:
-        return {d for d, p in enumerate(self.devices) if self.region.contains(p)}
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .geometry import LEFT, RIGHT, dist2, next_hop_index, wedge_contains_direction
+from .geometry import LEFT, RIGHT, dist2, wedge_contains_direction
 from .netgraph import (
     DeviceId,
     GeocastInstance,
@@ -157,15 +157,19 @@ def spg_initiate(nets: RoutingNets, inst: GeocastInstance, depth: int = 1) -> li
     return _pair_into_wedge(inst.source, wedge, inst, depth)
 
 
-def _continuation(net: Network, d: DeviceId, m: Message) -> tuple[DeviceId, tuple[DeviceId, DeviceId]]:
-    """Next hop of a planar message at d, plus the wedge of the face it is
-    traversing (the face between the incoming edge and the continuation)."""
-    pos = net.positions
+def continuation(net: Network, d: DeviceId, sender: DeviceId,
+                 rule: str) -> tuple[DeviceId, tuple[DeviceId, DeviceId]]:
+    """Next hop at d of a planar message from `sender`, plus the wedge of the
+    face it traverses.  On the ccw adjacency the right-hand rule (R) is the
+    predecessor of the sender and the left-hand rule (L) its successor; a
+    dead end bounces back."""
     nbrs = net.adjacency[d]
-    idx = next_hop_index(pos[d], pos[m.sender], [pos[u] for u in nbrs], m.dir)
-    nxt = nbrs[idx]
-    current = (nxt, m.sender) if m.dir == RIGHT else (m.sender, nxt)
-    return nxt, current
+    i = nbrs.index(sender)
+    if rule == RIGHT:
+        nxt = nbrs[i - 1]
+        return nxt, (nxt, sender)
+    nxt = nbrs[(i + 1) % len(nbrs)]
+    return nxt, (sender, nxt)
 
 
 def spg_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
@@ -174,7 +178,7 @@ def spg_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
     if mate is not None:
         return Mutations(mate, [])
     net = nets.planar
-    nxt, current = _continuation(net, d, m)
+    nxt, current = continuation(net, d, m.sender, m.dir)
     sends: list = []
     split = False
     if not split_done and wedge_qualifies(net, d, current, m.inst):

@@ -11,12 +11,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from geocastsim.geometry import Point, Rect, dist2
+from geocastsim.geometry import RIGHT, Point, Rect, dist2
 from geocastsim.netgraph import (
     DuplicatePointsError,
     GeocastInstance,
     Network,
+    Scenario,
+    bfs_hops,
     connected_components,
+    edge_qualifies,
     from_edges,
 )
 from geocastsim.protocol import RoutingNets
@@ -80,6 +83,78 @@ def next_hop_oracle(at: Point, prev: Point, neighbors, rule: str) -> Point:
         return (delta, dist2(at, p))
 
     return min(neighbors, key=key)
+
+
+def reference_next_hop_index(at: Point, prev: Point, neighbors, rule: str) -> int:
+    """The angular sweep face traversal used before the rotation on the ccw
+    adjacency: index of the first neighbor met when sweeping from the ray
+    at->prev.
+
+    Rule RIGHT sweeps clockwise, LEFT counter-clockwise.  A neighbor exactly in
+    the direction of `prev` is considered last (full sweep), which makes a
+    dead-end bounce back to its only neighbor.  Angular ties break by distance,
+    nearer first.
+    """
+    if not neighbors:
+        raise ValueError("next_hop needs at least one neighbor")
+    dx = prev.x - at.x
+    dy = prev.y - at.y
+    best = -1
+    b_phase = 0
+    b_wx = b_wy = b_d2 = 0.0
+    for i, p in enumerate(neighbors):
+        wx = p.x - at.x
+        wy = p.y - at.y
+        cr = dx * wy - dy * wx
+        dt = dx * wx + dy * wy
+        phase = _sweep_phase(cr, dt, rule)
+        d2 = wx * wx + wy * wy
+        if best < 0:
+            earlier = True
+        elif phase != b_phase:
+            earlier = phase < b_phase
+        elif phase in (1, 3):
+            earlier = d2 < b_d2
+        else:
+            c2 = wx * b_wy - wy * b_wx  # cross(candidate, best)
+            if c2 == 0.0:
+                earlier = d2 < b_d2
+            elif rule == RIGHT:
+                earlier = c2 < 0.0
+            else:
+                earlier = c2 > 0.0
+        if earlier:
+            best, b_phase, b_wx, b_wy, b_d2 = i, phase, wx, wy, d2
+    return best
+
+
+def _sweep_phase(cr: float, dt: float, rule: str) -> int:
+    # Order of encounter when sweeping away from the reference ray:
+    # 0 = strictly on the sweep side, 1 = exactly opposite, 2 = far side,
+    # 3 = aligned with the reference ray (a full turn away).
+    if cr == 0.0:
+        return 3 if dt > 0.0 else 1
+    if rule == RIGHT:
+        return 0 if cr < 0.0 else 2
+    return 0 if cr > 0.0 else 2
+
+
+def component_of(net: Network, src: int) -> set[int]:
+    """Devices reachable from src."""
+    return {d for d, h in enumerate(bfs_hops(net, src)) if h is not None}
+
+
+def in_region(scenario: Scenario) -> set[int]:
+    """Devices of the scenario inside its geocast region."""
+    return {d for d, p in enumerate(scenario.devices) if scenario.region.contains(p)}
+
+
+def is_juncture(net: Network, d: int, inst: GeocastInstance) -> bool:
+    """A device inside the region, or with an edge that meets the region or
+    the source-center line."""
+    if inst.region.contains(net.positions[d]):
+        return True
+    return any(edge_qualifies(net, d, u, inst) for u in net.adjacency[d])
 
 
 def gabriel_oracle_keeps(points, u: int, v: int) -> bool:

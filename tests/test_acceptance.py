@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sf_border_violations
+from conftest import component_of, in_region, sf_border_violations
 from geocastsim.engine import Simulation, compute_metrics
 from geocastsim.experiments import (
     ExperimentConfig,
@@ -28,7 +28,6 @@ from geocastsim.netgraph import (
     GeocastInstance,
     bfs_hops,
     build_unit_disk,
-    component_of,
     connected_components,
     gabriel_subgraph,
 )
@@ -102,7 +101,7 @@ def test_criterion_3_planar_coverage_bound_and_policy_independence(corpus):
         inst = scenario.instance()
         pcomp = component_of(planar, scenario.source)
         planar_edges = sum(1 for u, v in planar.edges() if u in pcomp)
-        targets = {d for d in scenario.in_region() if d in pcomp}
+        targets = {d for d in in_region(scenario) if d in pcomp}
         visited_sets = []
         for policy in ("fifo", "lifo", "random"):
             state = Simulation(bundle.nets, inst, "spg", policy,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import geocastsim.engine as engine_mod
+import geocastsim.experiments as experiments_mod
 from conftest import P
 from geocastsim.cli import main, parse_values
 from geocastsim.export import read_trace, used_edges_from_trace
@@ -148,6 +149,15 @@ class TestSweep:
         assert main(["sweep", "--axis", "density", "--values", "5",
                      "--algs", "dijkstra", "-o", str(tmp_path / "x.csv")]) == 1
 
+    def test_bad_last_value_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(experiments_mod, "run_trial", lambda *a, **k: calls.append(a))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", "region", "--values", "3,4,11", "--trials", "2",
+                     "-o", str(out)]) == 1
+        assert calls == []
+        assert "region_side" in capsys.readouterr().err and not out.exists()
+
 
 class TestExport:
     def test_dot_and_svg_match_run_used_edges(self, path_scenario, tmp_path):
@@ -177,6 +187,29 @@ class TestExport:
                      "--format", "dot", "-o", str(tmp_path / "x.dot")]) == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "mode" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("sender", "a"), ("sender", [0]), ("receiver", True), ("step", 1.5),
+        ("depth", None), ("mode", 5), ("dir", []),
+    ])
+    def test_trace_record_wrong_type_exits_one(self, path_scenario, tmp_path, capsys, key, value):
+        rec = {"step": 1, "mode": "flood", "dir": None, "sender": 0, "receiver": 1, "depth": 1}
+        rec[key] = value
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps(rec) + "\n")
+        assert main(["export", "--scenario", path_scenario, "--trace", str(trace),
+                     "--format", "dot", "-o", str(tmp_path / "x.dot")]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and key in err
+
+    @pytest.mark.parametrize("sender", [3, -1])
+    def test_trace_device_outside_scenario_exits_one(self, path_scenario, tmp_path, capsys, sender):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"step": 1, "mode": "flood", "dir": None,
+                                     "sender": sender, "receiver": 1, "depth": 1}) + "\n")
+        assert main(["export", "--scenario", path_scenario, "--trace", str(trace),
+                     "--format", "dot", "-o", str(tmp_path / "x.dot")]) == 1
+        assert f"device {sender}" in capsys.readouterr().err
 
     def test_missing_trace_exits_one(self, path_scenario, tmp_path):
         assert main(["export", "--scenario", path_scenario,

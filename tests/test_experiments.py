@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import component_of
 from geocastsim.experiments import (
     ExperimentConfig,
     RESULT_COLUMNS,
@@ -16,7 +17,6 @@ from geocastsim.experiments import (
     write_results_csv,
 )
 from geocastsim.geometry import dist2
-from geocastsim.netgraph import component_of
 
 
 def brute_force_component_edges(scenario):

@@ -1,22 +1,17 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import P, next_hop_oracle
+from conftest import P
 from geocastsim.geometry import (
     CLOCKWISE,
     COLLINEAR,
     COUNTERCLOCKWISE,
-    LEFT,
-    RIGHT,
     Point,
     Rect,
     Segment,
-    next_hop,
-    next_hop_index,
     orientation,
     segment_intersects_rect,
     segments_intersect,
@@ -98,57 +93,6 @@ class TestSegmentRect:
     def test_rect_membership_closed(self):
         assert self.unit.contains(P(0, 0)) and self.unit.contains(P(1, 1))
         assert not self.unit.contains(P(1.0000001, 0.5))
-
-
-class TestNextHop:
-    def test_right_rule_picks_clockwise(self):
-        got = next_hop(P(0, 0), P(1, 0), [P(0, 1), P(0, -1)], RIGHT)
-        assert got == P(0, -1)
-        assert got == next_hop_oracle(P(0, 0), P(1, 0), [P(0, 1), P(0, -1)], RIGHT)
-
-    def test_left_rule_mirrors(self):
-        got = next_hop(P(0, 0), P(1, 0), [P(0, 1), P(0, -1)], LEFT)
-        assert got == P(0, 1)
-        assert got == next_hop_oracle(P(0, 0), P(1, 0), [P(0, 1), P(0, -1)], LEFT)
-
-    def test_dead_end_bounce_back(self):
-        assert next_hop(P(0, 0), P(1, 0), [P(1, 0)], RIGHT) == P(1, 0)
-
-    def test_empty_neighbors_rejected(self):
-        with pytest.raises(ValueError):
-            next_hop_index(P(0, 0), P(1, 0), [], RIGHT)
-
-    def test_matches_angle_sweep_oracle_on_random_fans(self):
-        import random
-        rng = random.Random(1234)
-        for _ in range(300):
-            at = P(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            k = rng.randint(1, 8)
-            nbrs = [P(at.x + rng.uniform(-1, 1), at.y + rng.uniform(-1, 1)) for _ in range(k)]
-            nbrs = [p for p in nbrs if p != at] or [P(at.x + 1, at.y)]
-            prev = nbrs[rng.randrange(len(nbrs))]
-            for rule in (LEFT, RIGHT):
-                assert next_hop(at, prev, nbrs, rule) == next_hop_oracle(at, prev, nbrs, rule)
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_right_and_left_are_inverse(self, data):
-        grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
-        raw = data.draw(st.lists(grid, min_size=2, max_size=7, unique=True))
-        at = P(0, 0)
-        nbrs = [P(x, y) for x, y in raw if (x, y) != (0, 0)]
-        if len(nbrs) < 2:
-            return
-        # the inverse property needs distinct neighbor directions
-        seen_dirs = set()
-        for p in nbrs:
-            g = math.gcd(int(p.x), int(p.y))
-            seen_dirs.add((p.x / g, p.y / g))
-        if len(seen_dirs) != len(nbrs):
-            return
-        u = nbrs[0]
-        w = next_hop(at, u, nbrs, RIGHT)
-        assert next_hop(at, w, nbrs, LEFT) == u
 
 
 class TestWedgeContainment:

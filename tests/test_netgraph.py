@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from conftest import (
     P,
     gabriel_oracle_keeps,
+    is_juncture,
     minimum_cds_oracle,
+    next_hop_oracle,
     reference_cds_backbone,
     reference_ccw_sorted,
     reference_unit_disk,
 )
 from geocastsim import netgraph
 from geocastsim.experiments import ExperimentConfig, gen_scenario
-from geocastsim.geometry import LEFT, RIGHT, Rect, dot_sign, next_hop_index, orientation
+from geocastsim.geometry import LEFT, RIGHT, Rect, dot_sign, orientation
 from geocastsim.netgraph import (
     DuplicatePointsError,
     GeocastInstance,
@@ -30,7 +32,6 @@ from geocastsim.netgraph import (
     edge_qualifies,
     from_edges,
     gabriel_subgraph,
-    is_juncture,
     load_scenario,
     local_faces,
     save_scenario,
@@ -38,6 +39,7 @@ from geocastsim.netgraph import (
     scenario_to_dict,
     wedge_qualifies,
 )
+from geocastsim.protocol import continuation
 
 
 def random_points(rng, n, side):
@@ -398,6 +400,16 @@ class TestConstructionMemory:
         assert traced_peak(build_unit_disk, sc.devices, sc.radius) <= self.LIMIT
         assert traced_peak(gabriel_subgraph, net) <= self.LIMIT
 
+    def test_entries_share_the_device_ints(self):
+        # one int object per device in the full graph, and the overlay
+        # reuses them rather than holding copies
+        sc = gen_scenario(ExperimentConfig(field_side=40.0, density=7.0, seed=3), 0)
+        full = build_unit_disk(sc.devices, sc.radius)
+        planar = gabriel_subgraph(full)
+        held = {id(u) for nbrs in full.adjacency for u in nbrs}
+        assert len(held) <= full.n
+        assert all(id(u) in held for nbrs in planar.adjacency for u in nbrs)
+
 
 class TestCds:
     def test_star_collapses_to_hub(self):
@@ -516,7 +528,8 @@ class TestLocalFaces:
 
     def test_face_closure_under_fixed_rule(self):
         # walking any directed edge with one rule returns to the start and the
-        # orbits partition the directed edge set
+        # orbits partition the directed edge set; each rotation step is the
+        # hop the atan2 sweep picks
         rng = np.random.default_rng(42)
         for _ in range(8):
             net = gabriel_subgraph(build_unit_disk(random_points(rng, 40, 3.0), 1.0))
@@ -528,9 +541,11 @@ class TestLocalFaces:
                     walk = start
                     for _ in range(2 * len(directed) + 1):
                         u, v = walk
-                        idx = next_hop_index(net.positions[v], net.positions[u],
-                                             [net.positions[w] for w in net.adjacency[v]], rule)
-                        walk = (v, net.adjacency[v][idx])
+                        nxt, _ = continuation(net, v, u, rule)
+                        pos = net.positions
+                        assert pos[nxt] == next_hop_oracle(pos[v], pos[u],
+                                                           [pos[w] for w in net.adjacency[v]], rule)
+                        walk = (v, nxt)
                         assert walk in remaining, "orbits must not overlap"
                         remaining.discard(walk)
                         if walk == start:

@@ -1,3 +1,10 @@
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import (
     P,
     WALK_A,
@@ -7,9 +14,12 @@ from conftest import (
     WALK_C,
     WALK_S,
     exhaustive_sf_outcomes,
+    next_hop_oracle,
     nets_from_edges,
+    reference_next_hop_index,
 )
 from geocastsim.engine import Simulation
+from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
 from geocastsim.geometry import LEFT, RIGHT, Rect
 from geocastsim.netgraph import GeocastInstance, from_edges
 from geocastsim.protocol import (
@@ -19,6 +29,7 @@ from geocastsim.protocol import (
     Message,
     combined_handle,
     combined_initiate,
+    continuation,
     greedy_handle,
     greedy_initiate,
     mate_matches,
@@ -42,6 +53,87 @@ def some_inst() -> GeocastInstance:
 
 def brief(m: Message):
     return (m.mode, m.dir, m.sender, m.receiver, m.depth)
+
+
+def fan(center, others, radius: float = 2.0):
+    """A star: device 0 at `center`, joined to devices 1..k at `others`."""
+    pts = [center, *others]
+    return from_edges(pts, [(0, i) for i in range(1, len(pts))], radius)
+
+
+class TestNextHop:
+    def test_right_rule_picks_clockwise(self):
+        net = fan(P(0, 0), [P(1, 0), P(0, 1), P(0, -1)])
+        nxt, wedge = continuation(net, 0, 1, RIGHT)
+        assert net.positions[nxt] == P(0, -1)
+        assert net.positions[nxt] == next_hop_oracle(P(0, 0), P(1, 0), net.positions[1:], RIGHT)
+        assert wedge == (nxt, 1)
+
+    def test_left_rule_mirrors(self):
+        net = fan(P(0, 0), [P(1, 0), P(0, 1), P(0, -1)])
+        nxt, wedge = continuation(net, 0, 1, LEFT)
+        assert net.positions[nxt] == P(0, 1)
+        assert net.positions[nxt] == next_hop_oracle(P(0, 0), P(1, 0), net.positions[1:], LEFT)
+        assert wedge == (1, nxt)
+
+    def test_dead_end_bounce_back(self):
+        net = fan(P(0, 0), [P(1, 0)])
+        assert continuation(net, 0, 1, RIGHT) == (1, (1, 1))
+        assert continuation(net, 0, 1, LEFT) == (1, (1, 1))
+
+    def test_matches_angle_sweep_oracle_on_random_fans(self):
+        rng = random.Random(1234)
+        for _ in range(300):
+            at = P(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            k = rng.randint(1, 8)
+            nbrs = [P(at.x + rng.uniform(-1, 1), at.y + rng.uniform(-1, 1)) for _ in range(k)]
+            nbrs = [p for p in nbrs if p != at] or [P(at.x + 1, at.y)]
+            net = fan(at, nbrs)
+            prev = rng.randint(1, len(nbrs))
+            for rule in (LEFT, RIGHT):
+                nxt, _ = continuation(net, 0, prev, rule)
+                assert net.positions[nxt] == next_hop_oracle(at, net.positions[prev], nbrs, rule)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_right_and_left_are_inverse(self, data):
+        grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+        raw = data.draw(st.lists(grid, min_size=2, max_size=7, unique=True))
+        nbrs = [P(x, y) for x, y in raw if (x, y) != (0, 0)]
+        if len(nbrs) < 2:
+            return
+        # the inverse property needs distinct neighbor directions
+        seen_dirs = set()
+        for p in nbrs:
+            g = math.gcd(int(p.x), int(p.y))
+            seen_dirs.add((p.x / g, p.y / g))
+        if len(seen_dirs) != len(nbrs):
+            return
+        net = fan(P(0, 0), nbrs, radius=9.0)
+        w, _ = continuation(net, 0, 1, RIGHT)
+        assert continuation(net, 0, w, LEFT)[0] == 1
+
+
+class TestRotationEquivalence:
+    """The rotation on the ccw adjacency picks the hop and wedge of the
+    angular sweep it replaced, on every (device, sender, rule) triple of
+    generated overlays."""
+
+    @pytest.mark.parametrize("cds", [False, True])
+    def test_rotation_matches_sweep_on_generated_overlays(self, cds):
+        for seed in range(5):
+            for density in (3.0, 7.0, 16.0):
+                cfg = ExperimentConfig(field_side=10.0, density=density, seed=seed)
+                for trial in range(3):
+                    net = build_nets(gen_scenario(cfg, trial), cds=cds).nets.planar
+                    pos = net.positions
+                    for d, nbrs in enumerate(net.adjacency):
+                        pts = [pos[u] for u in nbrs]
+                        for sender in nbrs:
+                            for rule in (LEFT, RIGHT):
+                                nxt = nbrs[reference_next_hop_index(pos[d], pos[sender], pts, rule)]
+                                wedge = (nxt, sender) if rule == RIGHT else (sender, nxt)
+                                assert continuation(net, d, sender, rule) == (nxt, wedge)
 
 
 class TestMates:
