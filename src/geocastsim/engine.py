@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .netgraph import DeviceId, GeocastInstance, Network, bfs_hops
+from .netgraph import DeviceId, GeocastInstance, Network, bfs_hops, edge_key
 from .protocol import ALGORITHMS, Algorithm, Message, RoutingNets
 
 BUDGET_FACTOR = 50
@@ -98,11 +98,6 @@ class _RandomPool:
                 self._alive -= 1
                 return m
         return None
-
-
-def edge_key(u: DeviceId, v: DeviceId) -> tuple[DeviceId, DeviceId]:
-    """The undirected edge {u, v} as it is kept in `SimState.used_edges`."""
-    return (u, v) if u < v else (v, u)
 
 
 class SimState:
@@ -214,7 +209,6 @@ class Simulation:
 @dataclass(frozen=True)
 class Metrics:
     message_cost: int
-    visited: frozenset
     region_covered: frozenset
     latency: Optional[int]
     path_stretch: Optional[float]
@@ -231,14 +225,13 @@ def compute_metrics(state: SimState, net_full: Network, inst: GeocastInstance) -
     the lowest id); in-region devices of other components are not counted.
     """
     cost = len(state.transcript)
-    visited = frozenset(state.arrival)
     region = inst.region
     in_region = {d for d in range(net_full.n) if region.contains(net_full.positions[d])}
-    covered = frozenset(visited & in_region)
+    covered = frozenset(state.arrival.keys() & in_region)
     hops = bfs_hops(net_full, inst.source)
     targets = {d for d in in_region if hops[d] is not None}
     if not targets:
-        return Metrics(cost, visited, covered, None, None, None, None, 0)
+        return Metrics(cost, covered, None, None, None, None, 0)
     far = max(targets, key=lambda d: (hops[d], -d))
     latency = state.arrival.get(far)
     stretch = None
@@ -246,7 +239,6 @@ def compute_metrics(state: SimState, net_full: Network, inst: GeocastInstance) -
         stretch = latency / hops[far]
     return Metrics(
         message_cost=cost,
-        visited=visited,
         region_covered=covered,
         latency=latency,
         path_stretch=stretch,
@@ -302,10 +294,13 @@ def run(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorith
 
 def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm],
            transcript: Iterable[TransmissionEvent]) -> SimState:
-    """Re-apply a transcript to a fresh state; raises if any event cannot be
-    matched to a queued message."""
+    """Re-apply a transcript to a fresh state; raises ValueError if any event
+    names a device outside [0, n) or cannot be matched to a queued message."""
     sim = Simulation(nets, inst, algorithm, policy="fifo", step_budget=None)
+    n = nets.full.n
     for event in transcript:
+        if not (0 <= event.sender < n and 0 <= event.receiver < n):
+            raise ValueError(f"transcript event {event} names a device outside [0, {n})")
         queue = sim.state.queues[event.sender]
         match = None
         for m in queue:

@@ -2,13 +2,16 @@
 
 No angles are ever extracted.  `orientation` and `dot_sign` return exact
 signs; `wedge_contains_direction` compares rounded cross and dot products.
-Face traversal itself needs no predicate here: it is a rotation on the
-counter-clockwise adjacency that `netgraph` builds.
+The intersection tests first reject pairs whose closed bounding boxes are
+disjoint, with plain float comparisons and so without rounding: closed
+segments that meet always have overlapping boxes.  Face traversal itself
+needs no predicate here: it is a rotation on the counter-clockwise adjacency
+that `netgraph` builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 COUNTERCLOCKWISE = 1
@@ -47,10 +50,15 @@ class Rect:
 
     lo: Point
     hi: Point
+    _sides: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lo.x > self.hi.x or self.lo.y > self.hi.y:
             raise ValueError("rectangle corners out of order")
+        a, b = self.lo, self.hi
+        c = Point(b.x, a.y)
+        d = Point(a.x, b.y)
+        object.__setattr__(self, "_sides", (Segment(a, c), Segment(c, b), Segment(b, d), Segment(d, a)))
 
     @classmethod
     def from_bounds(cls, xmin: float, ymin: float, xmax: float, ymax: float) -> "Rect":
@@ -68,10 +76,7 @@ class Rect:
         return self.lo.x <= p.x <= self.hi.x and self.lo.y <= p.y <= self.hi.y
 
     def sides(self) -> tuple[Segment, Segment, Segment, Segment]:
-        a, b = self.lo, self.hi
-        c = Point(b.x, a.y)
-        d = Point(a.x, b.y)
-        return (Segment(a, c), Segment(c, b), Segment(b, d), Segment(d, a))
+        return self._sides
 
 
 def dist2(a: Point, b: Point) -> float:
@@ -129,6 +134,9 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
     """Closed-segment intersection; touching endpoints count."""
     p1, q1 = s1.a, s1.b
     p2, q2 = s2.a, s2.b
+    if (max(p1.x, q1.x) < min(p2.x, q2.x) or max(p2.x, q2.x) < min(p1.x, q1.x)
+            or max(p1.y, q1.y) < min(p2.y, q2.y) or max(p2.y, q2.y) < min(p1.y, q1.y)):
+        return False  # disjoint bounding boxes
     o1 = orientation(p1, q1, p2)
     o2 = orientation(p1, q1, q2)
     if o1 == o2 != COLLINEAR:
@@ -150,7 +158,11 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
 
 def segment_intersects_rect(seg: Segment, rect: Rect) -> bool:
     """True iff the closed segment meets the closed rectangle."""
-    if rect.contains(seg.a) or rect.contains(seg.b):
+    a, b, lo, hi = seg.a, seg.b, rect.lo, rect.hi
+    if (max(a.x, b.x) < lo.x or min(a.x, b.x) > hi.x
+            or max(a.y, b.y) < lo.y or min(a.y, b.y) > hi.y):
+        return False  # the segment's bounding box misses the rectangle
+    if rect.contains(a) or rect.contains(b):
         return True
     return any(segments_intersect(seg, side) for side in rect.sides())
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
@@ -27,6 +27,11 @@ from .geometry import (
 )
 
 DeviceId = int
+
+
+def edge_key(u: DeviceId, v: DeviceId) -> tuple[DeviceId, DeviceId]:
+    """The undirected edge {u, v} as a key: the lower id first."""
+    return (u, v) if u < v else (v, u)
 
 
 class DuplicatePointsError(ValueError):
@@ -435,12 +440,17 @@ def _next_connector(adj: Sequence[tuple[int, ...]], hub: set[int], rest: set[int
 @dataclass(frozen=True)
 class GeocastInstance:
     """One geocast request: source device, its coordinates, the target region,
-    and the line from the source to the region center."""
+    and the line from the source to the region center.
+
+    `qualified` memoises `edge_qualifies`: network (by identity) -> edge key
+    -> answer.  It is not part of the value, so it leaves ==, hash and repr
+    alone."""
 
     source: DeviceId
     source_point: Point
     region: Rect
     center_line: Segment
+    qualified: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def create(cls, source: DeviceId, source_point: Point, region: Rect) -> "GeocastInstance":
@@ -466,9 +476,19 @@ def edge_qualifies(net: Network, u: DeviceId, v: DeviceId, inst: GeocastInstance
     Region membership is closed.  The line test ignores contact that happens
     only at the source point itself, otherwise every edge at the source would
     qualify spuriously; an edge pointing along the line past the source still
-    counts.
+    counts.  Memoised per instance; the test is symmetric in u and v.
     """
-    pu, pv = net.positions[u], net.positions[v]
+    memo = inst.qualified.get(net)
+    if memo is None:
+        memo = inst.qualified[net] = {}
+    key = edge_key(u, v)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _edge_qualifies(net.positions[u], net.positions[v], inst)
+    return hit
+
+
+def _edge_qualifies(pu: Point, pv: Point, inst: GeocastInstance) -> bool:
     if segment_intersects_rect(Segment(pu, pv), inst.region):
         return True
     line = inst.center_line

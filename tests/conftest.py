@@ -10,8 +10,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from geocastsim.geometry import RIGHT, Point, Rect, dist2
+from geocastsim.geometry import COLLINEAR, RIGHT, Point, Rect, Segment, dist2, orientation
 from geocastsim.netgraph import (
     DuplicatePointsError,
     GeocastInstance,
@@ -27,6 +28,15 @@ from geocastsim.protocol import RoutingNets
 
 def P(x: float, y: float) -> Point:
     return Point(float(x), float(y))
+
+
+# coordinates on a small grid, each nudged by zero, a subnormal, a rounding
+# unit or so: collinear, touching and barely-missing configurations abound
+near_tie = st.builds(lambda base, nudge: base + nudge,
+                     st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                     st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                                      2.0 ** -52, -(2.0 ** -52), 1e-16, -1e-16]))
+near_tie_points = st.builds(Point, near_tie, near_tie)
 
 
 def nets_from_edges(points, edges, radius: float = 1.5) -> RoutingNets:
@@ -155,6 +165,65 @@ def is_juncture(net: Network, d: int, inst: GeocastInstance) -> bool:
     if inst.region.contains(net.positions[d]):
         return True
     return any(edge_qualifies(net, d, u, inst) for u in net.adjacency[d])
+
+
+def reference_edge_qualifies(net: Network, u: int, v: int, inst: GeocastInstance) -> bool:
+    """`edge_qualifies` as it was before the bounding-box rejects and the
+    per-instance memo: every call runs the full segment tests."""
+    pu, pv = net.positions[u], net.positions[v]
+    if reference_segment_intersects_rect(Segment(pu, pv), inst.region):
+        return True
+    line = inst.center_line
+    if line.degenerate:
+        return False
+    s, c = line.a, line.b
+    if pu == s or pv == s:
+        other = pv if pu == s else pu
+        if orientation(s, c, other) != COLLINEAR:
+            return False
+        return (other.x - s.x) * (c.x - s.x) + (other.y - s.y) * (c.y - s.y) > 0.0
+    return reference_segments_intersect(Segment(pu, pv), line)
+
+
+def reference_segment_intersects_rect(seg: Segment, rect: Rect) -> bool:
+    """True iff the closed segment meets the closed rectangle; the sides are
+    rebuilt on every call, as `Rect.sides()` did."""
+    if rect.contains(seg.a) or rect.contains(seg.b):
+        return True
+    a, b = rect.lo, rect.hi
+    c = Point(b.x, a.y)
+    d = Point(a.x, b.y)
+    sides = (Segment(a, c), Segment(c, b), Segment(b, d), Segment(d, a))
+    return any(reference_segments_intersect(seg, side) for side in sides)
+
+
+def _reference_within_box(p: Point, q: Point, r: Point) -> bool:
+    # q assumed collinear with p-r; closed bounding-box membership
+    return (min(p.x, r.x) <= q.x <= max(p.x, r.x)
+            and min(p.y, r.y) <= q.y <= max(p.y, r.y))
+
+
+def reference_segments_intersect(s1: Segment, s2: Segment) -> bool:
+    """Closed-segment intersection by orientations alone, no box reject."""
+    p1, q1 = s1.a, s1.b
+    p2, q2 = s2.a, s2.b
+    o1 = orientation(p1, q1, p2)
+    o2 = orientation(p1, q1, q2)
+    if o1 == o2 != COLLINEAR:
+        return False  # s2 lies strictly on one side of the line through s1
+    o3 = orientation(p2, q2, p1)
+    o4 = orientation(p2, q2, q1)
+    if o1 != o2 and o3 != o4 and o1 != COLLINEAR and o2 != COLLINEAR:
+        return True
+    if o1 == COLLINEAR and _reference_within_box(p1, p2, q1):
+        return True
+    if o2 == COLLINEAR and _reference_within_box(p1, q2, q1):
+        return True
+    if o3 == COLLINEAR and _reference_within_box(p2, p1, q2):
+        return True
+    if o4 == COLLINEAR and _reference_within_box(p2, q1, q2):
+        return True
+    return False
 
 
 def gabriel_oracle_keeps(points, u: int, v: int) -> bool:

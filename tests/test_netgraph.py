@@ -12,17 +12,20 @@ from conftest import (
     gabriel_oracle_keeps,
     is_juncture,
     minimum_cds_oracle,
+    near_tie_points,
     next_hop_oracle,
     reference_cds_backbone,
     reference_ccw_sorted,
+    reference_edge_qualifies,
     reference_unit_disk,
 )
 from geocastsim import netgraph
-from geocastsim.experiments import ExperimentConfig, gen_scenario
+from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
 from geocastsim.geometry import LEFT, RIGHT, Rect, dot_sign, orientation
 from geocastsim.netgraph import (
     DuplicatePointsError,
     GeocastInstance,
+    Network,
     Scenario,
     ScenarioFormatError,
     bfs_hops,
@@ -39,7 +42,7 @@ from geocastsim.netgraph import (
     scenario_to_dict,
     wedge_qualifies,
 )
-from geocastsim.protocol import continuation
+from geocastsim.protocol import FLOOD, Message, continuation, mate_matches
 
 
 def random_points(rng, n, side):
@@ -610,6 +613,113 @@ class TestJunctures:
         assert inst.center_line.degenerate
         assert edge_qualifies(net, 0, 1, inst)      # endpoint inside the region
         assert not edge_qualifies(net, 1, 2, inst)  # far from region, line inert
+
+
+def edge_net(pu, pv) -> Network:
+    """Two devices joined by one edge, with no radius check."""
+    return Network((pu, pv), ((1,), (0,)), 10.0)
+
+
+class TestQualificationOracle:
+    """The memoised `edge_qualifies` with box rejects answers as the frozen
+    full-test version does."""
+
+    # reference calls per overlay for the re-anchored instances; above it
+    # the anchors are every k-th device (only density 16 without --cds)
+    ANCHOR_BUDGET = 80_000
+    region = Rect.from_bounds(4.0, -1.0, 6.0, 1.0)  # center (5, 0)
+
+    @pytest.mark.parametrize("cds", [False, True])
+    @pytest.mark.parametrize("density", [3.0, 7.0, 16.0])
+    def test_generated_overlays(self, density, cds):
+        for seed in range(2):
+            cfg = ExperimentConfig(field_side=10.0, density=density, seed=seed)
+            for trial in range(3):
+                sc = gen_scenario(cfg, trial)
+                net = build_nets(sc, cds=cds).nets.planar
+                edges = list(net.edges())
+                inst = sc.instance()
+                for u, v in edges:
+                    want = reference_edge_qualifies(net, u, v, inst)
+                    assert reference_edge_qualifies(net, v, u, inst) == want
+                    assert edge_qualifies(net, u, v, inst) == edge_qualifies(net, v, u, inst) == want
+                if seed or trial:
+                    continue
+                # sf-spg-g re-anchors the guide line at the device where
+                # greedy forwarding stops
+                anchors = [d for d in range(net.n) if net.degree(d)]
+                stride = max(1, len(anchors) * len(edges) // self.ANCHOR_BUDGET)
+                for d in anchors[::stride]:
+                    anchored = GeocastInstance.create(d, net.positions[d], sc.region)
+                    for u, v in edges:
+                        assert edge_qualifies(net, u, v, anchored) == reference_edge_qualifies(
+                            net, u, v, anchored), (d, u, v)
+
+    @pytest.mark.parametrize("pu, pv, expected", [
+        (P(3, 2), P(4, 1), True),              # ends at a region corner
+        (P(3, 0), P(4, 1), True),              # ends at a corner, crossing the guide line
+        (P(3, 2), P(5, 0.5), True),            # ends inside the region
+        (P(4.5, 1), P(5.5, 1), True),          # lies along the top side
+        (P(6, 1.5), P(6, 2.5), False),         # along a side's line, past its end
+        (P(6.5, 2), P(7, 1), False),           # boxes touch at x = 6 only
+        (P(0, 0), P(1, 0), True),              # from the source along the line
+        (P(0, 0), P(-1, 0), False),            # from the source away from the region
+        (P(0, 0), P(1, 1), False),             # touches the line only at the source
+        (P(1, 0), P(2, 0), True),              # collinear with the line, on it
+        (P(-2, 0), P(-1, 0), False),           # collinear, short of the source
+        (P(-1, 0), P(1, 0), True),             # collinear, across the source
+        (P(6.5, 0), P(7, 0), False),           # collinear, past the region
+        (P(2, -1), P(2, 1), True),             # crosses the line
+        (P(2, 2 ** -52), P(3, 1), False),      # barely misses the line
+    ])
+    def test_degenerate_edges(self, pu, pv, expected):
+        inst = GeocastInstance.create(0, P(0, 0), self.region)
+        for a, b in ((pu, pv), (pv, pu)):
+            net = edge_net(a, b)
+            assert reference_edge_qualifies(net, 0, 1, inst) == expected
+            assert edge_qualifies(net, 0, 1, inst) == expected
+
+    @settings(max_examples=400)
+    @given(near_tie_points, near_tie_points, near_tie_points, near_tie_points, near_tie_points)
+    def test_near_ties(self, pu, pv, source, lo, hi):
+        region = Rect.from_bounds(min(lo.x, hi.x), min(lo.y, hi.y), max(lo.x, hi.x), max(lo.y, hi.y))
+        inst = GeocastInstance.create(0, source, region)
+        net = edge_net(pu, pv)
+        assert edge_qualifies(net, 0, 1, inst) == reference_edge_qualifies(net, 0, 1, inst)
+
+
+class TestQualificationMemo:
+    region = Rect.from_bounds(4.0, -1.0, 6.0, 1.0)
+
+    def inst(self) -> GeocastInstance:
+        return GeocastInstance.create(0, P(0, 0), self.region)
+
+    def test_each_network_gets_its_own_answers(self):
+        inst = self.inst()
+        near = edge_net(P(3, 0.5), P(4.5, 0.5))
+        far = edge_net(P(3, 2), P(4, 3))
+        assert edge_qualifies(near, 0, 1, inst)
+        assert not edge_qualifies(far, 0, 1, inst)
+        assert edge_qualifies(near, 1, 0, inst)
+        assert set(inst.qualified) == {near, far}
+
+    def test_one_entry_per_undirected_edge(self):
+        inst = self.inst()
+        net = edge_net(P(3, 0.5), P(4.5, 0.5))
+        edge_qualifies(net, 1, 0, inst)
+        edge_qualifies(net, 0, 1, inst)
+        assert inst.qualified == {net: {(0, 1): True}}
+
+    def test_filled_memo_leaves_the_value_alone(self):
+        filled, fresh = self.inst(), self.inst()
+        net = edge_net(P(3, 0.5), P(4.5, 0.5))
+        edge_qualifies(net, 0, 1, filled)
+        assert filled.qualified and not fresh.qualified
+        assert filled == fresh
+        assert hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert "qualified" not in repr(filled)
+        assert mate_matches(Message(FLOOD, None, 0, 1, filled, 1), Message(FLOOD, None, 1, 0, fresh, 1))
 
 
 class TestScenarioIO:
