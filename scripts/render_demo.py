@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from geocastsim.cli import summary_line
 from geocastsim.engine import run
 from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
-from geocastsim.export import render_svg, write_trace
+from geocastsim.export import render_svg, used_edges_from_trace, write_trace
 from geocastsim.netgraph import save_scenario
 
 
@@ -37,7 +37,8 @@ def main() -> int:
     state, metrics = run(bundle.nets, scenario.instance(), args.alg, seed=scenario.seed)
     write_trace(state.transcript, str(out / "trace.jsonl"))
     (out / "network.svg").write_text(render_svg(
-        scenario, bundle.full, state.used_edges, planar=bundle.nets.planar))
+        scenario, bundle.full, used_edges_from_trace(state.transcript),
+        planar=bundle.nets.planar))
     print(f"{args.alg}: {summary_line(metrics)}")
     print(f"outputs in {out}/")
     return 0

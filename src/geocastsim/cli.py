@@ -46,6 +46,13 @@ def parse_values(spec: str) -> list[float]:
     return values
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parse_algs(spec: str) -> tuple[str, ...]:
     if spec == "all":
         return tuple(ALGORITHMS)
@@ -67,14 +74,14 @@ def build_parser() -> _Parser:
     gen.add_argument("--field", type=float, default=10.0, help="square field side")
     gen.add_argument("--region", type=float, default=3.0, help="square geocast region side")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--trial", type=int, default=0, help="trial index within the seed")
+    gen.add_argument("--trial", type=non_negative_int, default=0, help="trial index within the seed")
     gen.add_argument("-o", "--output", required=True)
 
     run_p = sub.add_parser("run", help="run one delivery on a scenario file")
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--alg", default="sf", choices=tuple(ALGORITHMS))
     run_p.add_argument("--policy", default="fifo", choices=POLICIES)
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", type=non_negative_int, default=None,
                        help="scheduler seed (defaults to the scenario's)")
     run_p.add_argument("--cds", action="store_true",
                        help="route on the connected-dominating-set backbone")

@@ -1,10 +1,11 @@
-"""Fair atomic-step scheduler over per-device send queues, plus metrics.
+"""Fair atomic-step scheduler over per-edge send queues, plus metrics.
 
 One transmission per step: a queued message is selected by the scheduling
-policy, removed from its sender's queue, delivered, and the algorithm handler
-is applied atomically.  Annihilated mates are removed without ever counting as
-transmissions.  Everything is deterministic for a fixed (scenario, algorithm,
-policy, seed).
+policy, removed from its edge's queue and delivered.  If the receiver holds a
+*mate* of it on the reverse edge, the oldest one is annihilated with it and no
+handler runs; otherwise the algorithm's handler returns the messages to
+enqueue.  Annihilated mates never count as transmissions.  Everything is
+deterministic for a fixed (scenario, algorithm, policy, seed).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .netgraph import DeviceId, GeocastInstance, Network, bfs_hops, edge_key
-from .protocol import ALGORITHMS, Algorithm, Message, RoutingNets
+from .netgraph import DeviceId, GeocastInstance, Network, bfs_hops
+from .protocol import ALGORITHMS, Algorithm, Message, RoutingNets, mate_matches
 
 BUDGET_FACTOR = 50
 POLICIES = ("fifo", "lifo", "random")
@@ -43,71 +44,45 @@ class TransmissionEvent:
     depth: int
 
 
-class _FifoPool:
-    """Oldest enqueued message across all devices."""
+# The pools keep annihilated mates too; `Simulation.step` skips them, and
+# pops only while something is queued.
 
-    def __init__(self) -> None:
-        self._items: deque = deque()
+class _DequePool:
+    """The oldest (fifo) or the newest (lifo) pooled message."""
 
-    def add(self, m: Message) -> None:
-        self._items.append(m)
-
-    def discard(self, m: Message) -> None:
-        """Nothing to do: pop skips messages that are no longer alive."""
-
-    def pop(self) -> Optional[Message]:
-        while self._items:
-            m = self._items.popleft()
-            if m.alive:
-                return m
-        return None
-
-
-class _LifoPool(_FifoPool):
-    def pop(self) -> Optional[Message]:
-        while self._items:
-            m = self._items.pop()
-            if m.alive:
-                return m
-        return None
+    def __init__(self, lifo: bool) -> None:
+        items: deque = deque()
+        self.add = items.append
+        self.pop = items.pop if lifo else items.popleft
 
 
 class _RandomPool:
-    """Uniform choice over all queued messages, from a seeded stream."""
+    """Uniform choice over all pooled messages, from a seeded stream."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._items: list = []
-        self._alive = 0
         self._rng = rng
 
     def add(self, m: Message) -> None:
         self._items.append(m)
-        self._alive += 1
 
-    def discard(self, m: Message) -> None:
-        self._alive -= 1
-
-    def pop(self) -> Optional[Message]:
+    def pop(self) -> Message:
         items = self._items
-        while self._alive > 0:
-            i = int(self._rng.integers(len(items)))
-            m = items[i]
-            items[i] = items[-1]
-            items.pop()
-            if m.alive:
-                self._alive -= 1
-                return m
-        return None
+        i = int(self._rng.integers(len(items)))
+        m = items[i]
+        items[i] = items[-1]
+        items.pop()
+        return m
 
 
 class SimState:
-    """Queues plus the transcript; the only mutable state of a run."""
+    """Queued messages by directed edge (sender, receiver), oldest first, plus
+    the transcript; the only mutable state of a run."""
 
-    def __init__(self, n: int):
-        self.queues: list[list] = [[] for _ in range(n)]
+    def __init__(self) -> None:
+        self.queued: dict[tuple[DeviceId, DeviceId], list[Message]] = {}
         self.transcript: list[TransmissionEvent] = []
         self.arrival: dict[DeviceId, int] = {}
-        self.used_edges: set[tuple[DeviceId, DeviceId]] = set()
         self.split_done: set[DeviceId] = set()
         self.enqueued = 0
         self.annihilated = 0
@@ -117,7 +92,7 @@ class SimState:
         return len(self.transcript)
 
     def queued_messages(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return sum(map(len, self.queued.values()))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -138,16 +113,14 @@ class Simulation:
         if step_budget is None:
             step_budget = BUDGET_FACTOR * n * max(1, nets.full.max_degree())
         self.step_budget = step_budget
-        if policy == "fifo":
-            self.pool = _FifoPool()
-        elif policy == "lifo":
-            self.pool = _LifoPool()
+        if policy in ("fifo", "lifo"):
+            self.pool = _DequePool(lifo=policy == "lifo")
         elif policy == "random":
             self.pool = _RandomPool(substream(seed, 0))
         else:
             raise ValueError(f"unknown policy {policy!r}")
         self.policy = policy
-        self.state = SimState(n)
+        self.state = SimState()
         # the source has already participated: its one-shot emissions happen
         # at initiation, so later receipts only forward or annihilate
         self.state.arrival[inst.source] = 0
@@ -156,47 +129,51 @@ class Simulation:
             self._enqueue(m)
 
     def _enqueue(self, m: Message) -> None:
-        m.alive = True
-        self.state.queues[m.sender].append(m)
+        self.state.queued.setdefault((m.sender, m.receiver), []).append(m)
         self.pool.add(m)
         self.state.enqueued += 1
 
     def _apply(self, m: Message) -> TransmissionEvent:
         st = self.state
-        st.queues[m.sender].remove(m)
-        m.alive = False
-        event = TransmissionEvent(st.steps + 1, m.mode, m.dir, m.sender, m.receiver, m.depth)
+        s, d = m.sender, m.receiver
+        edge = st.queued[(s, d)]
+        edge.remove(m)
+        if not edge:
+            del st.queued[(s, d)]
+        event = TransmissionEvent(st.steps + 1, m.mode, m.dir, s, d, m.depth)
         st.transcript.append(event)
-        st.used_edges.add(edge_key(m.sender, m.receiver))
-        d = m.receiver
         prev = st.arrival.get(d)
         seen_any = prev is not None
         if prev is None or m.depth < prev:
             st.arrival[d] = m.depth
-        mutation = self.algorithm.handle(self.nets, d, m, st.queues[d],
-                                         split_done=d in st.split_done,
+        back = st.queued.get((d, s))
+        if back is not None:
+            for mate in back:
+                if mate_matches(m, mate):
+                    back.remove(mate)
+                    if not back:
+                        del st.queued[(d, s)]
+                    st.annihilated += 1
+                    return event
+        mutation = self.algorithm.handle(self.nets, d, m, split_done=d in st.split_done,
                                          seen_any=seen_any)
         if mutation.split:
             st.split_done.add(d)
-        if mutation.mate is not None:
-            mate = mutation.mate
-            st.queues[d].remove(mate)
-            mate.alive = False
-            self.pool.discard(mate)
-            st.annihilated += 1
-        else:
-            for out in mutation.sends:
-                self._enqueue(out)
+        for out in mutation.sends:
+            self._enqueue(out)
         return event
 
     def step(self) -> Optional[TransmissionEvent]:
-        """Transmit one message; None means all queues are empty (quiescent)."""
-        m = self.pool.pop()
-        if m is None:
+        """Transmit one message; None means nothing is queued (quiescent)."""
+        queued = self.state.queued
+        while queued:
+            m = self.pool.pop()
+            if m in queued.get((m.sender, m.receiver), ()):
+                break
+        else:
             return None
         if self.state.steps >= self.step_budget:
-            m.alive = True  # leave evidence of the stuck message
-            self.pool.add(m)
+            self.pool.add(m)  # still queued, so it stays in the pool too
             raise SimulationFault(self.state.steps, self.state.queued_messages(), self.step_budget)
         return self._apply(m)
 
@@ -264,7 +241,6 @@ def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
         depth = state.arrival[u] + 1
         event = TransmissionEvent(state.steps + 1, "flood", None, u, d, depth)
         state.transcript.append(event)
-        state.used_edges.add(edge_key(u, d))
         state.arrival[d] = depth
         extra += 1
     return extra
@@ -301,14 +277,10 @@ def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algor
     for event in transcript:
         if not (0 <= event.sender < n and 0 <= event.receiver < n):
             raise ValueError(f"transcript event {event} names a device outside [0, {n})")
-        queue = sim.state.queues[event.sender]
-        match = None
-        for m in queue:
-            if (m.alive and m.mode == event.mode and m.dir == event.dir
-                    and m.receiver == event.receiver and m.depth == event.depth):
-                match = m
+        for m in sim.state.queued.get((event.sender, event.receiver), ()):
+            if m.mode == event.mode and m.dir == event.dir and m.depth == event.depth:
+                sim._apply(m)
                 break
-        if match is None:
+        else:
             raise ValueError(f"transcript event {event} has no queued counterpart")
-        sim._apply(match)
     return sim.state

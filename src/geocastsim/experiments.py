@@ -59,6 +59,8 @@ class ExperimentConfig:
         if not count <= MAX_DEVICES:
             raise ValueError(f"device count density * field_side**2 / pi = {count:.3g} "
                              f"exceeds {MAX_DEVICES:,}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
         for alg in self.algorithms:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional
 
-from .engine import TransmissionEvent, edge_key
-from .netgraph import Network, Scenario
+from .engine import TransmissionEvent
+from .netgraph import Network, Scenario, edge_key
 
 
 _RECORD = '{"step": %d, "mode": %s, "dir": %s, "sender": %d, "receiver": %d, "depth": %d}\n'

@@ -592,6 +592,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if xmin < 0 or ymin < 0 or xmax > fw or ymax > fh:
         raise fail("region", "must lie within the field")
     seed = integer("seed", data["seed"])
+    if seed < 0:
+        raise fail("seed", "must be non-negative")
     return Scenario(radius, (fw, fh), tuple(pts), source, Rect.from_bounds(xmin, ymin, xmax, ymax), seed)
 
 

@@ -1,10 +1,11 @@
 """The routing algorithms as pure handler functions.
 
-Each handler maps (networks, receiving device, delivered message, that
-device's queue snapshot) to queue mutations: either one mate to annihilate or
-a batch of messages to enqueue.  Devices keep no other protocol state; the
-engine owns all mutation and additionally reports whether the device has
-already fired its one-shot emissions (face splitting outside the region, the
+Each handler maps (networks, receiving device, delivered message) to the
+messages that device enqueues.  Devices keep no protocol state beyond their
+send queues, which the engine owns; the engine also applies the mate rule
+(`mate_matches`) before any handler runs, so a handler sees only arrivals
+that met no mate.  It additionally reports whether the device has already
+fired its one-shot emissions (face splitting outside the region, the
 flood-plus-pair burst inside it), which keeps the stateless rules terminating.
 """
 
@@ -30,7 +31,7 @@ GREEDY = "greedy"
 class Message:
     """One queued or in-flight message.  `dir` is L/R for planar mode, else None."""
 
-    __slots__ = ("mode", "dir", "sender", "receiver", "inst", "depth", "alive")
+    __slots__ = ("mode", "dir", "sender", "receiver", "inst", "depth")
 
     def __init__(self, mode: str, dir: Optional[str], sender: DeviceId,
                  receiver: DeviceId, inst: GeocastInstance, depth: int):
@@ -44,7 +45,6 @@ class Message:
         self.receiver = receiver
         self.inst = inst
         self.depth = depth
-        self.alive = False
 
     def __repr__(self) -> str:  # debugging aid
         tag = self.dir if self.mode == PLANAR else self.mode[0].upper()
@@ -52,10 +52,9 @@ class Message:
 
 
 class Mutations(NamedTuple):
-    """Handler outcome: a mate to remove from the queue, or messages to add.
-    `split` reports that the one-shot face splitting fired at this device."""
+    """Handler outcome: the messages to enqueue.  `split` reports that the
+    one-shot face splitting fired at this device."""
 
-    mate: Optional[Message]
     sends: list
     split: bool = False
 
@@ -86,14 +85,6 @@ def mate_matches(m1: Message, m2: Message) -> bool:
     return False
 
 
-def find_mate(queue: list, m: Message) -> Optional[Message]:
-    """Oldest queued mate of m, if any."""
-    for q in queue:
-        if q.alive and mate_matches(m, q):
-            return q
-    return None
-
-
 def _in_region(nets: RoutingNets, inst: GeocastInstance, d: DeviceId) -> bool:
     return inst.region.contains(nets.full.positions[d])
 
@@ -105,14 +96,10 @@ def sf_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
     return [Message(FLOOD, None, src, u, inst, 1) for u in nets.full.adjacency[src]]
 
 
-def sf_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
+def sf_handle(nets: RoutingNets, d: DeviceId, m: Message,
               split_done: bool = False, seen_any: bool = False) -> Mutations:
-    mate = find_mate(queue, m)
-    if mate is not None:
-        return Mutations(mate, [])
-    sends = [Message(FLOOD, None, d, u, m.inst, m.depth + 1)
-             for u in nets.full.adjacency[d] if u != m.sender]
-    return Mutations(None, sends)
+    return Mutations([Message(FLOOD, None, d, u, m.inst, m.depth + 1)
+                      for u in nets.full.adjacency[d] if u != m.sender])
 
 
 # --- planar geocast ---------------------------------------------------------
@@ -172,11 +159,8 @@ def continuation(net: Network, d: DeviceId, sender: DeviceId,
     return nxt, (sender, nxt)
 
 
-def spg_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
+def spg_handle(nets: RoutingNets, d: DeviceId, m: Message,
                split_done: bool = False, seen_any: bool = False) -> Mutations:
-    mate = find_mate(queue, m)
-    if mate is not None:
-        return Mutations(mate, [])
     net = nets.planar
     nxt, current = continuation(net, d, m.sender, m.dir)
     sends: list = []
@@ -187,7 +171,7 @@ def spg_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
             if wedge != current and wedge_qualifies(net, d, wedge, m.inst):
                 sends.extend(_pair_into_wedge(d, wedge, m.inst, m.depth + 1))
     sends.append(Message(PLANAR, m.dir, d, nxt, m.inst, m.depth + 1))
-    return Mutations(None, sends, split)
+    return Mutations(sends, split)
 
 
 # --- flood inside the region, planar outside --------------------------------
@@ -213,13 +197,10 @@ def combined_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
     return spg_initiate(nets, inst)
 
 
-def combined_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
+def combined_handle(nets: RoutingNets, d: DeviceId, m: Message,
                     split_done: bool = False, seen_any: bool = False) -> Mutations:
     if not _in_region(nets, inst := m.inst, d):
-        return spg_handle(nets, d, m, queue, split_done, seen_any)
-    mate = find_mate(queue, m)
-    if mate is not None:
-        return Mutations(mate, [])
+        return spg_handle(nets, d, m, split_done, seen_any)
     sends: list = []
     if not seen_any:
         # a greedy arrival has no partner walker and gets no reply, so the
@@ -231,7 +212,7 @@ def combined_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
             # reply with the exact mate of the arriving message so the
             # sender-side face traversal annihilates
             sends.append(Message(PLANAR, opposite(m.dir), d, m.sender, inst, m.depth + 1))
-    return Mutations(None, sends)
+    return Mutations(sends)
 
 
 # --- greedy approach, then the combined algorithm ---------------------------
@@ -262,22 +243,22 @@ def greedy_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
     return spg_initiate(nets, inst)
 
 
-def greedy_handle(nets: RoutingNets, d: DeviceId, m: Message, queue: list,
+def greedy_handle(nets: RoutingNets, d: DeviceId, m: Message,
                   split_done: bool = False, seen_any: bool = False) -> Mutations:
     if m.mode != GREEDY:
-        return combined_handle(nets, d, m, queue, split_done, seen_any)
+        return combined_handle(nets, d, m, split_done, seen_any)
     if _in_region(nets, m.inst, d):
         # the greedy phase ends here: re-anchor the guide line at the switch
         # device, then apply the in-region rule
         anchored = GeocastInstance.create(d, nets.full.positions[d], m.inst.region)
         handoff = Message(GREEDY, None, m.sender, d, anchored, m.depth)
-        return combined_handle(nets, d, handoff, queue, split_done, seen_any)
+        return combined_handle(nets, d, handoff, split_done, seen_any)
     target = _closest_to_center(nets, m.inst, d)
     if target is not None:
-        return Mutations(None, [Message(GREEDY, None, d, target, m.inst, m.depth + 1)])
+        return Mutations([Message(GREEDY, None, d, target, m.inst, m.depth + 1)])
     # local minimum: the other switch point, re-anchored the same way
     anchored = GeocastInstance.create(d, nets.full.positions[d], m.inst.region)
-    return Mutations(None, spg_initiate(nets, anchored, depth=m.depth + 1))
+    return Mutations(spg_initiate(nets, anchored, depth=m.depth + 1))
 
 
 @dataclass(frozen=True)

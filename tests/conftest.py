@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from geocastsim.export import used_edges_from_trace
 from geocastsim.geometry import COLLINEAR, RIGHT, Point, Rect, Segment, dist2, orientation
 from geocastsim.netgraph import (
     DuplicatePointsError,
@@ -442,9 +443,13 @@ def sf_border_violations(sim) -> list[str]:
     used edge; unvisited devices queue nothing."""
     net = sim.nets.full
     st = sim.state
+    used = used_edges_from_trace(st.transcript)
+    receivers = defaultdict(list)
+    for (sender, receiver), msgs in st.queued.items():
+        receivers[sender].extend([receiver] * len(msgs))
     violations = []
     for d in range(net.n):
-        queued = [m.receiver for m in st.queues[d] if m.alive]
+        queued = receivers[d]
         if d not in st.arrival:
             if queued:
                 violations.append(f"unvisited device {d} holds {queued}")
@@ -452,7 +457,7 @@ def sf_border_violations(sim) -> list[str]:
         for u in net.adjacency[d]:
             edge = (d, u) if d < u else (u, d)
             count = queued.count(u)
-            if edge in st.used_edges:
+            if edge in used:
                 if count != 0:
                     violations.append(f"device {d} queues over used edge {edge}")
             elif count != 1:

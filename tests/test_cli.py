@@ -58,9 +58,13 @@ class TestGenerate:
     (["sweep", "--axis", "field", "--values", "1e308", "--trials", "1"], "field_side"),
     (["generate", "--density", "1e12"], "density"),
     (["generate", "--field", "1e100"], "field_side"),
+    (["generate", "--seed", "-1"], "seed"),
+    (["generate", "--trial", "-1"], "--trial"),
+    (["sweep", "--axis", "density", "--values", "5", "--trials", "1", "--seed", "-1"], "seed"),
 ], ids=["generate-infinite-density", "generate-nan-field", "generate-negative-region",
         "sweep-infinite-density", "sweep-overflowing-field", "generate-unallocatable-density",
-        "generate-unallocatable-field"])
+        "generate-unallocatable-field", "generate-negative-seed", "generate-negative-trial",
+        "sweep-negative-seed"])
 def test_unsimulatable_config_exits_one(tmp_path, capsys, argv, field):
     assert main(argv + ["-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -98,8 +102,9 @@ class TestRun:
         (lambda d: d.update(source=True), "source"),
         (lambda d: d.update(radius=float("inf")), "radius"),
         (lambda d: d["devices"].__setitem__(1, [55.0, 0.0]), "devices"),
+        (lambda d: d.update(seed=-1), "seed"),
     ], ids=["null-field", "nan-device", "nan-region", "bool-source", "infinite-radius",
-            "device-outside-field"])
+            "device-outside-field", "negative-seed"])
     def test_unplaceable_scenario_exits_one(self, path_scenario, tmp_path, capsys,
                                             mutation, field):
         data = scenario_to_dict(load_scenario(path_scenario))
@@ -109,6 +114,11 @@ class TestRun:
         assert main(["run", "--scenario", str(bad)]) == 1
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    def test_negative_scheduler_seed_exits_one(self, path_scenario, capsys):
+        assert main(["run", "--scenario", path_scenario, "--seed", "-1", "--policy", "random"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
 
     def test_output_to_directory_exits_one(self, tmp_path, capsys):
         assert main(["generate", "-o", str(tmp_path)]) == 1

@@ -218,22 +218,24 @@ class TestFloodFrontierInvariant:
 
 
 class TestReplayAndTrace:
-    @pytest.mark.parametrize("algorithm", ["sf", "spg", "sf-spg"])
-    def test_replay_reproduces_final_state(self, algorithm):
+    @pytest.mark.parametrize("algorithm", ["sf", "spg", "sf-spg", "sf-spg-g"])
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
+    def test_replay_reproduces_final_state(self, algorithm, policy):
         cfg = ExperimentConfig(field_side=5.0, density=6.0, region_side=2.0,
                                trials=1, seed=31)
         sc = gen_scenario(cfg, 0)
         bundle = build_nets(sc)
         inst = sc.instance()
-        state = Simulation(bundle.nets, inst, algorithm).run_to_quiescence()
+        state = Simulation(bundle.nets, inst, algorithm, policy, seed=sc.seed).run_to_quiescence()
         replayed = replay(bundle.nets, inst, algorithm, state.transcript)
+        assert replayed.transcript == state.transcript
         assert replayed.arrival == state.arrival
-        assert replayed.used_edges == state.used_edges
-        assert replayed.steps == state.steps
+        assert replayed.split_done == state.split_done
+        assert (replayed.annihilated, replayed.steps) == (state.annihilated, state.steps)
         assert replayed.queued_messages() == 0
 
-    # (-3, 1) is the first event 0 -> 1 with its sender wrapped around: as a
-    # list index -3 is device 0, whose queue holds the matching message
+    # (-3, 1) is the first event 0 -> 1 with its sender wrapped around
+    # (-3 is 0 modulo n = 3)
     @pytest.mark.parametrize("sender, receiver", [(-3, 1), (1, -2), (3, 1), (0, 7)])
     def test_replay_rejects_devices_out_of_range(self, sender, receiver):
         nets, inst = triangle_fixture()
@@ -252,7 +254,7 @@ class TestReplayAndTrace:
         write_trace(state.transcript, str(path))
         events = read_trace(str(path))
         assert events == state.transcript
-        assert used_edges_from_trace(events) == state.used_edges
+        assert used_edges_from_trace(events) == {(0, 1), (0, 2), (1, 2)}
 
     def test_trace_bytes_match_json_dumps(self, tmp_path):
         events = [TransmissionEvent(1, "flood", None, 0, 1, 1),

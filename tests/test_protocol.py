@@ -23,9 +23,11 @@ from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
 from geocastsim.geometry import LEFT, RIGHT, Rect
 from geocastsim.netgraph import GeocastInstance, from_edges
 from geocastsim.protocol import (
+    ALGORITHMS,
     FLOOD,
     GREEDY,
     PLANAR,
+    Algorithm,
     Message,
     combined_handle,
     combined_initiate,
@@ -42,17 +44,37 @@ from geocastsim.protocol import (
 FAR_REGION = Rect.from_bounds(50.0, 50.0, 51.0, 51.0)
 
 
-def live(m: Message) -> Message:
-    m.alive = True
-    return m
-
-
 def some_inst() -> GeocastInstance:
     return GeocastInstance.create(0, P(0, 0), Rect.from_bounds(1, 1, 2, 2))
 
 
 def brief(m: Message):
     return (m.mode, m.dir, m.sender, m.receiver, m.depth)
+
+
+def scripted(alg: str, *messages: Message):
+    """`alg` behind an initiation that enqueues `messages` in order, with a
+    handler that records each arrival it is called on."""
+    calls: list = []
+    handle = ALGORITHMS[alg].handle
+
+    def recording(nets, d, m, **flags):
+        calls.append(brief(m))
+        return handle(nets, d, m, **flags)
+
+    return Algorithm(alg, lambda nets, inst: list(messages), recording), calls
+
+
+def assert_mate_annihilated(nets, inst, alg: str, arriving: Message, mate: Message):
+    """Under fifo `arriving` is transmitted first and meets `mate` on the
+    reverse edge: both are gone, nothing is sent and no handler runs."""
+    algorithm, calls = scripted(alg, arriving, mate)
+    sim = Simulation(nets, inst, algorithm)
+    event = sim.step()
+    assert (event.sender, event.receiver) == (arriving.sender, arriving.receiver)
+    assert sim.state.annihilated == 1 and calls == []
+    assert sim.state.queued == {} and sim.step() is None
+    assert (sim.state.steps, sim.state.enqueued) == (1, 2)
 
 
 def fan(center, others, radius: float = 2.0):
@@ -186,23 +208,32 @@ class TestStatelessFlood:
     def test_mate_annihilates_without_sends(self):
         nets = self.star()
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        queued = live(Message(FLOOD, None, 0, 1, inst, 1))
-        arriving = Message(FLOOD, None, 1, 0, inst, 2)
-        out = sf_handle(nets, 0, arriving, [queued])
-        assert out.mate is queued and out.sends == []
+        assert_mate_annihilated(nets, inst, "sf", Message(FLOOD, None, 1, 0, inst, 2),
+                                Message(FLOOD, None, 0, 1, inst, 1))
+
+    def test_older_of_two_mates_is_annihilated(self):
+        nets = self.star()
+        inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
+        older = Message(FLOOD, None, 0, 1, inst, 1)
+        newer = Message(FLOOD, None, 0, 1, inst, 3)
+        algorithm, calls = scripted("sf", Message(FLOOD, None, 1, 0, inst, 2), older, newer)
+        sim = Simulation(nets, inst, algorithm)
+        sim.step()
+        assert sim.state.annihilated == 1 and calls == []
+        assert sim.state.queued == {(0, 1): [newer]}
 
     def test_leaf_receiving_sends_nothing(self):
         nets = self.star()
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
         arriving = Message(FLOOD, None, 0, 1, inst, 1)
-        out = sf_handle(nets, 1, arriving, [])
-        assert out.mate is None and out.sends == []
+        out = sf_handle(nets, 1, arriving)
+        assert out.sends == []
 
     def test_relay_floods_all_but_sender_with_incremented_depth(self):
         pts = [P(0, 0), P(1, 0), P(1, 1), P(2, 0)]
         nets = nets_from_edges(pts, [(0, 1), (1, 2), (1, 3)])
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        out = sf_handle(nets, 1, Message(FLOOD, None, 0, 1, inst, 4), [])
+        out = sf_handle(nets, 1, Message(FLOOD, None, 0, 1, inst, 4))
         assert sorted(m.receiver for m in out.sends) == [2, 3]
         assert all(m.depth == 5 for m in out.sends)
 
@@ -254,8 +285,7 @@ class TestPlanarHandle:
     def test_walkthrough_b_forwards_and_splits_into_one_face(self, walkthrough):
         nets, inst = walkthrough
         arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 1)
-        out = spg_handle(nets, WALK_B, arriving, [], split_done=False)
-        assert out.mate is None
+        out = spg_handle(nets, WALK_B, arriving, split_done=False)
         assert [brief(m) for m in out.sends] == [
             (PLANAR, LEFT, WALK_B, WALK_A, 2),   # pair into the qualifying face
             (PLANAR, RIGHT, WALK_B, WALK_C, 2),
@@ -266,7 +296,7 @@ class TestPlanarHandle:
     def test_walkthrough_a_splits_twice(self, walkthrough):
         nets, inst = walkthrough
         arriving = Message(PLANAR, LEFT, WALK_S, WALK_A, inst, 1)
-        out = spg_handle(nets, WALK_A, arriving, [], split_done=False)
+        out = spg_handle(nets, WALK_A, arriving, split_done=False)
         assert [brief(m) for m in out.sends] == [
             (PLANAR, LEFT, WALK_A, WALK_A3, 2),
             (PLANAR, RIGHT, WALK_A, WALK_B, 2),
@@ -277,10 +307,8 @@ class TestPlanarHandle:
 
     def test_walkthrough_returning_message_meets_mate(self, walkthrough):
         nets, inst = walkthrough
-        queued = live(Message(PLANAR, LEFT, WALK_A, WALK_B, inst, 2))
-        arriving = Message(PLANAR, RIGHT, WALK_B, WALK_A, inst, 2)
-        out = spg_handle(nets, WALK_A, arriving, [queued])
-        assert out.mate is queued and out.sends == []
+        assert_mate_annihilated(nets, inst, "spg", Message(PLANAR, RIGHT, WALK_B, WALK_A, inst, 2),
+                                Message(PLANAR, LEFT, WALK_A, WALK_B, inst, 2))
 
     def test_walkthrough_full_run_terminates_with_full_coverage(self, walkthrough):
         nets, inst = walkthrough
@@ -295,16 +323,16 @@ class TestPlanarHandle:
         nets = nets_from_edges(pts, [(0, 1), (1, 2), (2, 3), (3, 0)])
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(5, 0, 6, 1))
         arriving = Message(PLANAR, RIGHT, 2, 3, inst, 2)
-        out = spg_handle(nets, 3, arriving, [], split_done=False)
-        assert out.mate is None and len(out.sends) == 1
+        out = spg_handle(nets, 3, arriving, split_done=False)
+        assert len(out.sends) == 1
         assert out.sends[0].mode == PLANAR and out.sends[0].dir == RIGHT
 
     def test_split_fires_once_per_device(self, walkthrough):
         nets, inst = walkthrough
         arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 1)
-        first = spg_handle(nets, WALK_B, arriving, [], split_done=False)
+        first = spg_handle(nets, WALK_B, arriving, split_done=False)
         again = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 5)
-        second = spg_handle(nets, WALK_B, again, [], split_done=True)
+        second = spg_handle(nets, WALK_B, again, split_done=True)
         assert len(first.sends) == 3
         assert [brief(m) for m in second.sends] == [(PLANAR, RIGHT, WALK_B, WALK_A, 6)]
 
@@ -320,8 +348,7 @@ class TestCombined:
     def test_in_region_planar_arrival_bursts_and_replies(self):
         nets, inst = self.fixture()
         arriving = Message(PLANAR, LEFT, 4, 0, inst, 3)
-        out = combined_handle(nets, 0, arriving, [], seen_any=False)
-        assert out.mate is None
+        out = combined_handle(nets, 0, arriving, seen_any=False)
         assert [brief(m) for m in out.sends] == [
             (FLOOD, None, 0, 1, 4),
             (FLOOD, None, 0, 2, 4),
@@ -331,25 +358,23 @@ class TestCombined:
         ]
 
     def test_in_region_flood_arrival_with_mate_annihilates_only(self):
+        # device 0 has not been reached: without the mate it would burst
         nets, inst = self.fixture()
-        queued = live(Message(FLOOD, None, 0, 1, inst, 4))
-        arriving = Message(FLOOD, None, 1, 0, inst, 4)
-        out = combined_handle(nets, 0, arriving, [queued], seen_any=True)
-        assert out.mate is queued and out.sends == []
+        assert_mate_annihilated(nets, inst, "sf-spg", Message(FLOOD, None, 1, 0, inst, 4),
+                                Message(FLOOD, None, 0, 1, inst, 4))
 
     def test_repeat_arrival_without_mate_is_absorbed(self):
         nets, inst = self.fixture()
         arriving = Message(PLANAR, RIGHT, 4, 0, inst, 9)
-        out = combined_handle(nets, 0, arriving, [], seen_any=True)
-        assert out.mate is None and out.sends == []
+        out = combined_handle(nets, 0, arriving, seen_any=True)
+        assert out.sends == []
 
     def test_out_of_region_device_delegates_to_planar_rule(self, walkthrough):
         nets, inst = walkthrough
         arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 1)
-        spg = spg_handle(nets, WALK_B, arriving, [], split_done=False)
-        comb = combined_handle(nets, WALK_B, arriving, [], split_done=False)
+        spg = spg_handle(nets, WALK_B, arriving, split_done=False)
+        comb = combined_handle(nets, WALK_B, arriving, split_done=False)
         assert [brief(m) for m in comb.sends] == [brief(m) for m in spg.sends]
-        assert comb.mate is None
 
     def test_in_region_source_floods_immediately(self):
         nets, inst = self.fixture()
@@ -376,7 +401,7 @@ class TestGreedy:
         nets, inst = self.chain()
         msgs = greedy_initiate(nets, inst)
         assert [brief(m) for m in msgs] == [(GREEDY, None, 0, 1, 1)]
-        out = greedy_handle(nets, 1, msgs[0], [])
+        out = greedy_handle(nets, 1, msgs[0])
         assert [brief(m) for m in out.sends] == [(GREEDY, None, 1, 2, 2)]
 
     def test_region_arrival_switches_to_flood(self):
@@ -384,7 +409,7 @@ class TestGreedy:
         # region covering devices 3 and 4; greedy arrives at 3 from 2
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(2.4, -0.5, 4.3, 0.5))
         arriving = Message(GREEDY, None, 2, 3, inst, 3)
-        out = greedy_handle(nets, 3, arriving, [], seen_any=False)
+        out = greedy_handle(nets, 3, arriving, seen_any=False)
         briefs = [brief(m) for m in out.sends]
         assert (FLOOD, None, 3, 4, 4) in briefs
         # the faces flanking the greedy arrival edge are explored via a pair
@@ -399,13 +424,43 @@ class TestGreedy:
         nets = nets_from_edges(pts, [(0, 1), (0, 2), (1, 2)], radius=1.3)
         inst = GeocastInstance.create(0, pts[0], Rect.from_bounds(2.0, 0.0, 3.0, 1.0))
         arriving = Message(GREEDY, None, 0, 1, inst, 1)
-        out = greedy_handle(nets, 1, arriving, [])
-        assert out.mate is None and len(out.sends) == 2
+        out = greedy_handle(nets, 1, arriving)
+        assert len(out.sends) == 2
         assert {m.dir for m in out.sends} == {LEFT, RIGHT}
         for m in out.sends:
             assert m.mode == PLANAR and m.depth == 2 and m.sender == 1
             assert m.inst.source == 1 and m.inst.source_point == pts[1]
             assert m.inst.region == inst.region
+
+    @pytest.mark.parametrize("anchor, mates", [(WALK_A, False), (WALK_S, True)],
+                             ids=["other-device", "original-source"])
+    def test_reanchored_instance_is_not_a_mate(self, walkthrough, anchor, mates):
+        # the switch device re-anchors the guide line; an anchoring at the
+        # original source is an equal instance, and mates compare by value
+        nets, inst = walkthrough
+        anchored = GeocastInstance.create(anchor, nets.full.positions[anchor], inst.region)
+        arriving = Message(PLANAR, RIGHT, WALK_B, WALK_A, inst, 2)
+        queued = Message(PLANAR, LEFT, WALK_A, WALK_B, anchored, 2)
+        if mates:
+            assert_mate_annihilated(nets, inst, "sf-spg-g", arriving, queued)
+            return
+        algorithm, calls = scripted("sf-spg-g", arriving, queued)
+        sim = Simulation(nets, inst, algorithm)
+        sim.step()
+        assert sim.state.annihilated == 0 and calls == [brief(arriving)]
+        assert sim.state.queued[(WALK_A, WALK_B)][0] is queued
+
+    @pytest.mark.parametrize("mode", [GREEDY, FLOOD])
+    def test_greedy_arrival_never_annihilates(self, mode):
+        nets, inst = self.chain()
+        arriving = Message(GREEDY, None, 0, 1, inst, 1)
+        queued = Message(mode, None, 1, 0, inst, 1)
+        algorithm, calls = scripted("sf-spg-g", arriving, queued)
+        sim = Simulation(nets, inst, algorithm)
+        sim.step()
+        assert sim.state.annihilated == 0 and calls == [brief(arriving)]
+        assert sim.state.queued[(1, 0)] == [queued]
+        assert [brief(m) for m in sim.state.queued[(1, 2)]] == [(GREEDY, None, 1, 2, 2)]
 
     def test_source_already_in_region_floods(self):
         pts = [P(0, 0), P(0.5, 0.2), P(3, 3)]

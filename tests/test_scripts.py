@@ -22,4 +22,7 @@ def test_render_demo_agrees_with_cli_run(tmp_path, capsys):
     assert f"cost={len(events)} " in demo_line
     write_trace(events, str(tmp_path / "again.jsonl"))
     assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "trace.jsonl").read_bytes()
+    assert main(["export", "--scenario", str(tmp_path / "scenario.json"), "--trace",
+                 str(tmp_path / "trace.jsonl"), "--format", "svg", "-o", str(tmp_path / "cli.svg")]) == 0
+    assert (tmp_path / "network.svg").read_bytes() == (tmp_path / "cli.svg").read_bytes()
     assert (tmp_path / "network.svg").read_text().startswith("<svg")
