@@ -8,7 +8,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import experiments, export
-from .engine import POLICIES, Metrics, SimulationFault, run
+from .engine import POLICIES, SimulationFault, run
 from .netgraph import ScenarioFormatError, load_scenario, save_scenario
 from .protocol import ALGORITHMS
 
@@ -131,13 +131,6 @@ def _fmt(v, digits: int = 4) -> str:
     return str(v)
 
 
-def summary_line(metrics: Metrics) -> str:
-    """The line `geocastsim run` prints for a delivery."""
-    return (f"cost={metrics.message_cost} latency={_fmt(metrics.latency)} "
-            f"stretch={_fmt(metrics.path_stretch)} "
-            f"delivered={len(metrics.region_covered)}/{metrics.target_count}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     bundle = experiments.build_nets(scenario, cds=args.cds)
@@ -148,7 +141,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
-    print(summary_line(metrics))
+    print(f"cost={metrics.message_cost} latency={_fmt(metrics.latency)} "
+          f"stretch={_fmt(metrics.path_stretch)} "
+          f"delivered={len(metrics.region_covered)}/{metrics.target_count}")
     if args.trace:
         export.write_trace(state.transcript, args.trace)
     return EXIT_OK

@@ -61,10 +61,8 @@ class _RandomPool:
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._items: list = []
+        self.add = self._items.append
         self._rng = rng
-
-    def add(self, m: Message) -> None:
-        self._items.append(m)
 
     def pop(self) -> Message:
         items = self._items
@@ -107,7 +105,6 @@ class Simulation:
                  algorithm: Union[str, Algorithm] = "sf", policy: str = "fifo",
                  seed: int = 0, step_budget: Optional[int] = None):
         self.nets = nets
-        self.inst = inst
         self.algorithm = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
         n = nets.full.n
         if step_budget is None:
@@ -116,10 +113,11 @@ class Simulation:
         if policy in ("fifo", "lifo"):
             self.pool = _DequePool(lifo=policy == "lifo")
         elif policy == "random":
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed!r}")
             self.pool = _RandomPool(substream(seed, 0))
         else:
             raise ValueError(f"unknown policy {policy!r}")
-        self.policy = policy
         self.state = SimState()
         # the source has already participated: its one-shot emissions happen
         # at initiation, so later receipts only forward or annihilate
@@ -143,7 +141,6 @@ class Simulation:
         event = TransmissionEvent(st.steps + 1, m.mode, m.dir, s, d, m.depth)
         st.transcript.append(event)
         prev = st.arrival.get(d)
-        seen_any = prev is not None
         if prev is None or m.depth < prev:
             st.arrival[d] = m.depth
         back = st.queued.get((d, s))
@@ -155,8 +152,7 @@ class Simulation:
                         del st.queued[(d, s)]
                     st.annihilated += 1
                     return event
-        mutation = self.algorithm.handle(self.nets, d, m, split_done=d in st.split_done,
-                                         seen_any=seen_any)
+        mutation = self.algorithm.handle(self.nets, d, m, split_done=d in st.split_done)
         if mutation.split:
             st.split_done.add(d)
         for out in mutation.sends:
@@ -166,16 +162,14 @@ class Simulation:
     def step(self) -> Optional[TransmissionEvent]:
         """Transmit one message; None means nothing is queued (quiescent)."""
         queued = self.state.queued
-        while queued:
-            m = self.pool.pop()
-            if m in queued.get((m.sender, m.receiver), ()):
-                break
-        else:
+        if not queued:
             return None
         if self.state.steps >= self.step_budget:
-            self.pool.add(m)  # still queued, so it stays in the pool too
             raise SimulationFault(self.state.steps, self.state.queued_messages(), self.step_budget)
-        return self._apply(m)
+        while True:
+            m = self.pool.pop()
+            if m in queued.get((m.sender, m.receiver), ()):
+                return self._apply(m)
 
     def run_to_quiescence(self) -> SimState:
         while self.step() is not None:

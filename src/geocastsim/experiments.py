@@ -62,7 +62,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.trials < 1:
-            raise ValueError("at least one trial is required")
+            raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -77,6 +77,8 @@ def device_count(density: float, field_side: float) -> int:
 
 
 def gen_scenario(cfg: ExperimentConfig, trial_index: int) -> Scenario:
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be non-negative, got {trial_index!r}")
     rng = substream(cfg.seed, trial_index, _PURPOSE_SCENARIO)
     side = cfg.field_side
     n = device_count(cfg.density, side)

@@ -4,9 +4,9 @@ Each handler maps (networks, receiving device, delivered message) to the
 messages that device enqueues.  Devices keep no protocol state beyond their
 send queues, which the engine owns; the engine also applies the mate rule
 (`mate_matches`) before any handler runs, so a handler sees only arrivals
-that met no mate.  It additionally reports whether the device has already
-fired its one-shot emissions (face splitting outside the region, the
-flood-plus-pair burst inside it), which keeps the stateless rules terminating.
+that met no mate.  One flag, `split_done`, tells whether the device has fired
+its one-shot emission (face splitting outside the region, the flood-plus-pair
+burst inside it); that gate keeps the stateless rules terminating.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Message:
 
 class Mutations(NamedTuple):
     """Handler outcome: the messages to enqueue.  `split` reports that the
-    one-shot face splitting fired at this device."""
+    device fired its one-shot emission (a face split or a region burst)."""
 
     sends: list
     split: bool = False
@@ -97,7 +97,7 @@ def sf_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
 
 
 def sf_handle(nets: RoutingNets, d: DeviceId, m: Message,
-              split_done: bool = False, seen_any: bool = False) -> Mutations:
+              split_done: bool = False) -> Mutations:
     return Mutations([Message(FLOOD, None, d, u, m.inst, m.depth + 1)
                       for u in nets.full.adjacency[d] if u != m.sender])
 
@@ -160,7 +160,7 @@ def continuation(net: Network, d: DeviceId, sender: DeviceId,
 
 
 def spg_handle(nets: RoutingNets, d: DeviceId, m: Message,
-               split_done: bool = False, seen_any: bool = False) -> Mutations:
+               split_done: bool = False) -> Mutations:
     net = nets.planar
     nxt, current = continuation(net, d, m.sender, m.dir)
     sends: list = []
@@ -198,21 +198,20 @@ def combined_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
 
 
 def combined_handle(nets: RoutingNets, d: DeviceId, m: Message,
-                    split_done: bool = False, seen_any: bool = False) -> Mutations:
+                    split_done: bool = False) -> Mutations:
     if not _in_region(nets, inst := m.inst, d):
-        return spg_handle(nets, d, m, split_done, seen_any)
-    sends: list = []
-    if not seen_any:
-        # a greedy arrival has no partner walker and gets no reply, so the
-        # faces flanking its arrival edge are explored via a pair to the
-        # sender; flood and planar arrivals keep the sender exclusion
-        exclude = None if m.mode == GREEDY else m.sender
-        sends.extend(_region_burst(nets, inst, d, exclude, m.depth + 1))
-        if m.mode == PLANAR:
-            # reply with the exact mate of the arriving message so the
-            # sender-side face traversal annihilates
-            sends.append(Message(PLANAR, opposite(m.dir), d, m.sender, inst, m.depth + 1))
-    return Mutations(sends)
+        return spg_handle(nets, d, m, split_done)
+    if split_done:
+        return Mutations([])  # the burst is one-shot, like the face split
+    # a greedy arrival has no partner walker and gets no reply, so the faces
+    # flanking its arrival edge are explored via a pair to the sender; flood
+    # and planar arrivals keep the sender exclusion
+    exclude = None if m.mode == GREEDY else m.sender
+    sends = _region_burst(nets, inst, d, exclude, m.depth + 1)
+    if m.mode == PLANAR:
+        # reply with the exact mate of the arrival: the sender-side traversal annihilates
+        sends.append(Message(PLANAR, opposite(m.dir), d, m.sender, inst, m.depth + 1))
+    return Mutations(sends, True)
 
 
 # --- greedy approach, then the combined algorithm ---------------------------
@@ -244,15 +243,15 @@ def greedy_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
 
 
 def greedy_handle(nets: RoutingNets, d: DeviceId, m: Message,
-                  split_done: bool = False, seen_any: bool = False) -> Mutations:
+                  split_done: bool = False) -> Mutations:
     if m.mode != GREEDY:
-        return combined_handle(nets, d, m, split_done, seen_any)
+        return combined_handle(nets, d, m, split_done)
     if _in_region(nets, m.inst, d):
         # the greedy phase ends here: re-anchor the guide line at the switch
         # device, then apply the in-region rule
         anchored = GeocastInstance.create(d, nets.full.positions[d], m.inst.region)
         handoff = Message(GREEDY, None, m.sender, d, anchored, m.depth)
-        return combined_handle(nets, d, handoff, split_done, seen_any)
+        return combined_handle(nets, d, handoff, split_done)
     target = _closest_to_center(nets, m.inst, d)
     if target is not None:
         return Mutations([Message(GREEDY, None, d, target, m.inst, m.depth + 1)])

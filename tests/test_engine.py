@@ -86,6 +86,30 @@ class TestStep:
         with pytest.raises(SimulationFault):
             sim.run_to_quiescence()
 
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
+    def test_fault_leaves_the_run_as_it_was(self, policy):
+        scenario = gen_scenario(ExperimentConfig(field_side=4.0, trials=1), 0)
+        nets, inst = build_nets(scenario).nets, scenario.instance()
+        whole = Simulation(nets, inst, "sf", policy=policy, seed=5).run_to_quiescence()
+        sim = Simulation(nets, inst, "sf", policy=policy, seed=5, step_budget=3)
+        for _ in range(3):
+            sim.step()
+        queued = {edge: list(msgs) for edge, msgs in sim.state.queued.items()}
+        for _ in range(2):
+            with pytest.raises(SimulationFault):
+                sim.step()
+            assert sim.state.steps == 3 and sim.state.queued == queued
+        assert sim.state.queued_messages() == sum(map(len, queued.values())) > 0
+        # with a larger budget the run goes on exactly as an unbounded one:
+        # the fault took no message out of the schedule
+        sim.step_budget = whole.steps
+        assert sim.run_to_quiescence().transcript == whole.transcript
+
+    def test_random_policy_rejects_negative_seed(self):
+        nets, inst = triangle_fixture()
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            Simulation(nets, inst, "sf", policy="random", seed=-1)
+
 
 class TestRun:
     def test_flood_on_path_metrics(self):

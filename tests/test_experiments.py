@@ -55,6 +55,10 @@ class TestScenarioGeneration:
         assert gen_scenario(cfg, 4) == gen_scenario(cfg, 4)
         assert gen_scenario(cfg, 4) != gen_scenario(cfg, 5)
 
+    def test_negative_trial_index_rejected(self):
+        with pytest.raises(ValueError, match="trial_index must be non-negative, got -1"):
+            gen_scenario(ExperimentConfig(trials=1), -1)
+
     def test_region_fits_in_field(self):
         cfg = ExperimentConfig(region_side=9.5, trials=1, seed=2)
         for t in range(5):

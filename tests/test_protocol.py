@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from conftest import (
     nets_from_edges,
     reference_next_hop_index,
 )
-from geocastsim.engine import Simulation
+from geocastsim.engine import POLICIES, Simulation, SimulationFault
 from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
 from geocastsim.geometry import LEFT, RIGHT, Rect
 from geocastsim.netgraph import GeocastInstance, from_edges
@@ -348,7 +349,7 @@ class TestCombined:
     def test_in_region_planar_arrival_bursts_and_replies(self):
         nets, inst = self.fixture()
         arriving = Message(PLANAR, LEFT, 4, 0, inst, 3)
-        out = combined_handle(nets, 0, arriving, seen_any=False)
+        out = combined_handle(nets, 0, arriving, split_done=False)
         assert [brief(m) for m in out.sends] == [
             (FLOOD, None, 0, 1, 4),
             (FLOOD, None, 0, 2, 4),
@@ -366,7 +367,7 @@ class TestCombined:
     def test_repeat_arrival_without_mate_is_absorbed(self):
         nets, inst = self.fixture()
         arriving = Message(PLANAR, RIGHT, 4, 0, inst, 9)
-        out = combined_handle(nets, 0, arriving, seen_any=True)
+        out = combined_handle(nets, 0, arriving, split_done=True)
         assert out.sends == []
 
     def test_out_of_region_device_delegates_to_planar_rule(self, walkthrough):
@@ -409,7 +410,7 @@ class TestGreedy:
         # region covering devices 3 and 4; greedy arrives at 3 from 2
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(2.4, -0.5, 4.3, 0.5))
         arriving = Message(GREEDY, None, 2, 3, inst, 3)
-        out = greedy_handle(nets, 3, arriving, seen_any=False)
+        out = greedy_handle(nets, 3, arriving, split_done=False)
         briefs = [brief(m) for m in out.sends]
         assert (FLOOD, None, 3, 4, 4) in briefs
         # the faces flanking the greedy arrival edge are explored via a pair
@@ -475,3 +476,58 @@ class TestGreedy:
         state = sim.run_to_quiescence()
         assert 4 in state.arrival and 3 in state.arrival
         assert state.queued_messages() == 0
+
+
+class TestOneShotGate:
+    """`split_done` is the one gate on one-shot emissions: face splits outside
+    the region and the flood-plus-pair burst inside it."""
+
+    def triangle(self):
+        # only device 1 lies in the region; devices 0 and 2 route planar
+        pts = [P(0, 0), P(1, 0), P(0.5, 0.8)]
+        nets = nets_from_edges(pts, [(0, 1), (0, 2), (1, 2)])
+        inst = GeocastInstance.create(0, pts[0], Rect.from_bounds(0.9, -0.1, 1.1, 0.9))
+        return nets, inst
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_gated_run_quiesces(self, policy):
+        nets, inst = self.triangle()
+        state = Simulation(nets, inst, "sf-spg", policy).run_to_quiescence()
+        assert state.steps == 9
+        assert set(state.arrival) == {0, 1, 2} and state.split_done == {0, 1, 2}
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_ungated_run_never_quiesces(self, policy):
+        # every arrival fires again: the region device re-seeds both faces
+        # of the triangle, which re-seed it in turn
+        nets, inst = self.triangle()
+        ungated = Algorithm("sf-spg", combined_initiate,
+                            lambda nets, d, m, split_done: combined_handle(nets, d, m, False))
+        sim = Simulation(nets, inst, ungated, policy, step_budget=5000)
+        with pytest.raises(SimulationFault):
+            sim.run_to_quiescence()
+
+    @pytest.mark.parametrize("cds", [False, True])
+    @pytest.mark.parametrize("alg", ["sf-spg", "sf-spg-g"])
+    def test_in_region_devices_fire_once_at_their_first_arrival(self, alg, cds):
+        cfg = ExperimentConfig(seed=4)
+        for trial in range(15):
+            scenario = gen_scenario(cfg, trial)
+            nets = build_nets(scenario, cds=cds).nets
+            inst = scenario.instance()
+            region = {d for d, p in enumerate(scenario.devices) if inst.region.contains(p)}
+            for policy in POLICIES:
+                ungated_calls: Counter = Counter()
+                handle = ALGORITHMS[alg].handle
+
+                def recording(nets, d, m, split_done):
+                    if d in region and not split_done:
+                        ungated_calls[d] += 1
+                    return handle(nets, d, m, split_done=split_done)
+
+                sim = Simulation(nets, inst, Algorithm(alg, ALGORITHMS[alg].initiate, recording),
+                                 policy, scenario.seed)
+                state = sim.run_to_quiescence()
+                reached = state.arrival.keys() & region
+                assert state.split_done & region == reached
+                assert ungated_calls == Counter(reached - {inst.source})
