@@ -25,7 +25,11 @@ def main() -> int:
     args = parser.parse_args()
 
     out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the CLI's contract: bad input exits 1 naming the flag
+        print(f"error: --out-dir: {exc}", file=sys.stderr)
+        return 1
     scenario, trace = str(out / "scenario.json"), str(out / "trace.jsonl")
     for argv in (
         ["generate", "--density", args.density, "--region", args.region, "--seed", args.seed,

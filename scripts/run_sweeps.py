@@ -26,7 +26,11 @@ def main() -> int:
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the CLI's contract: bad input exits 1 naming the flag
+        print(f"error: --out-dir: {exc}", file=sys.stderr)
+        return 1
     for axis, values in SWEEPS.items():
         code = geocastsim(["sweep", "--axis", axis, "--values", values, "--trials", args.trials,
                            "--seed", args.seed, "--algs", args.algs,

@@ -26,13 +26,6 @@ POLICIES = ("fifo", "lifo", "random")
 class SimulationFault(RuntimeError):
     """Step budget exhausted: the run did not reach quiescence."""
 
-    def __init__(self, steps: int, queued: int, budget: int):
-        super().__init__(
-            f"no quiescence after {steps} steps (budget {budget}, {queued} messages still queued)")
-        self.steps = steps
-        self.queued = queued
-        self.budget = budget
-
 
 @dataclass(frozen=True)
 class TransmissionEvent:
@@ -165,7 +158,8 @@ class Simulation:
         if not queued:
             return None
         if self.state.steps >= self.step_budget:
-            raise SimulationFault(self.state.steps, self.state.queued_messages(), self.step_budget)
+            raise SimulationFault(f"no quiescence after {self.state.steps} steps (budget "
+                                  f"{self.step_budget}, {self.state.queued_messages()} messages still queued)")
         while True:
             m = self.pool.pop()
             if m in queued.get((m.sender, m.receiver), ()):

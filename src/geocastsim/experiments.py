@@ -65,7 +65,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r}")
+                raise ValueError(f"unknown algorithm {alg!r} (choose from {', '.join(ALGORITHMS)})")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
 
@@ -117,14 +117,13 @@ def build_nets(scenario: Scenario, cds: bool = False) -> NetBundle:
 
 
 def run_trial(scenario: Scenario, algorithm: str, policy: str = "fifo",
-              cds: bool = False, step_budget: Optional[int] = None,
-              bundle: Optional[NetBundle] = None) -> Optional[Metrics]:
+              cds: bool = False, bundle: Optional[NetBundle] = None) -> Optional[Metrics]:
     """Metrics of one delivery on the scenario, or None if it faulted."""
     if bundle is None:
         bundle = build_nets(scenario, cds)
     try:
         _, metrics = run(bundle.nets, scenario.instance(), algorithm, policy, scenario.seed,
-                         step_budget, net_full=bundle.full, backbone=bundle.backbone)
+                         net_full=bundle.full, backbone=bundle.backbone)
     except SimulationFault:
         return None
     return metrics

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .engine import TransmissionEvent
 from .netgraph import Network, Scenario, edge_key
 
+
+_SVG_SCALE = 60.0  # svg units per unit of distance
 
 _RECORD = '{"step": %d, "mode": %s, "dir": %s, "sender": %d, "receiver": %d, "depth": %d}\n'
 
@@ -76,18 +78,17 @@ def render_dot(scenario: Scenario, net: Network, used: set[tuple[int, int]]) -> 
     return "\n".join(lines) + "\n"
 
 
-def render_svg(scenario: Scenario, net: Network, used: set[tuple[int, int]],
-               planar: Optional[Network] = None, scale: float = 60.0) -> str:
+def render_svg(scenario: Scenario, net: Network, used: set[tuple[int, int]], planar: Network) -> str:
     fw, fh = scenario.field
-    margin = scale * 0.5
-    width = fw * scale + 2 * margin
-    height = fh * scale + 2 * margin
+    margin = _SVG_SCALE * 0.5
+    width = fw * _SVG_SCALE + 2 * margin
+    height = fh * _SVG_SCALE + 2 * margin
 
     def sx(x: float) -> float:
-        return margin + x * scale
+        return margin + x * _SVG_SCALE
 
     def sy(y: float) -> float:
-        return margin + (fh - y) * scale  # svg y grows downward
+        return margin + (fh - y) * _SVG_SCALE  # svg y grows downward
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -96,10 +97,10 @@ def render_svg(scenario: Scenario, net: Network, used: set[tuple[int, int]],
     ]
     xmin, ymin, xmax, ymax = scenario.region.bounds
     out.append(
-        f'<rect x="{sx(xmin):.2f}" y="{sy(ymax):.2f}" width="{(xmax - xmin) * scale:.2f}" '
-        f'height="{(ymax - ymin) * scale:.2f}" fill="#d7e8f7" stroke="#5b8db8"/>'
+        f'<rect x="{sx(xmin):.2f}" y="{sy(ymax):.2f}" width="{(xmax - xmin) * _SVG_SCALE:.2f}" '
+        f'height="{(ymax - ymin) * _SVG_SCALE:.2f}" fill="#d7e8f7" stroke="#5b8db8"/>'
     )
-    planar_edges = set(planar.edges()) if planar is not None else set()
+    planar_edges = set(planar.edges())
     for u, v in sorted(net.edges()):
         a, b = net.positions[u], net.positions[v]
         if (u, v) in used:

@@ -19,7 +19,6 @@ from .geometry import (
     Point,
     Rect,
     Segment,
-    dist2,
     dot_sign,
     orientation,
     segment_intersects_rect,
@@ -76,16 +75,10 @@ class Network:
         return sum(len(a) for a in self.adjacency) // 2
 
 
-def _ccw_sorted(positions: Sequence[Point], d: DeviceId, nbrs: Iterable[DeviceId]) -> tuple[int, ...]:
-    """Neighbours of d counter-clockwise from the positive x axis.
-
-    The order is decided by the sign of the rounded cross product within a
-    half-plane, then distance, then id.  A sort on a key computed once per
-    neighbour, (half, -vx/vy, dist2, id), puts it in that order up to
-    rounding; -vx/vy rises with the angle inside either half and is -inf on
-    the x axis.  An insertion pass then checks adjacent pairs by the cross
-    product and moves any neighbour the key misplaced.
-    """
+def _ccw_repaired(positions: Sequence[Point], d: DeviceId, nbrs: Iterable[DeviceId]) -> tuple[int, ...]:
+    """Neighbours of d, given in the order of `build_unit_disk`'s key, with
+    every neighbour the key misplaced moved by an insertion pass on
+    `_ccw_before`."""
     at = positions[d]
     ax, ay = at.x, at.y
     order = []
@@ -94,26 +87,27 @@ def _ccw_sorted(positions: Sequence[Point], d: DeviceId, nbrs: Iterable[DeviceId
         vx = p.x - ax
         vy = p.y - ay
         half = 0 if (vy > 0.0 or (vy == 0.0 and vx > 0.0)) else 1
-        order.append((half, -vx / vy if vy != 0.0 else -math.inf, vx * vx + vy * vy, u, vx, vy))
-    order.sort()
+        order.append((half, vx, vy, vx * vx + vy * vy, u))
     for i in range(1, len(order)):
         j = i
         while j and _ccw_before(order[j], order[j - 1]):
             order[j - 1], order[j] = order[j], order[j - 1]
             j -= 1
-    return tuple(e[3] for e in order)
+    return tuple(e[4] for e in order)
 
 
 def _ccw_before(a: tuple, b: tuple) -> bool:
-    """True iff neighbour a must precede neighbour b (entries of `_ccw_sorted`)."""
+    """True iff neighbour a must precede neighbour b (entries of `_ccw_repaired`):
+    half-plane (the one from the positive x axis first), then the sign of the
+    rounded cross product, then distance, then id."""
     if a[0] != b[0]:
         return a[0] < b[0]
-    c = a[4] * b[5] - a[5] * b[4]
+    c = a[1] * b[2] - a[2] * b[1]
     if c > 0.0:
         return True
     if c < 0.0:
         return False
-    return (a[2], a[3]) < (b[2], b[3])
+    return (a[3], a[4]) < (b[3], b[4])
 
 
 def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
@@ -124,10 +118,11 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     itself and the four cells ahead of it (the other four see it from their
     side), so time and memory are O(n·deg) rather than O(n²).  The test is
     `dx*dx + dy*dy <= radius*radius`, which gives the same answer for (u, v)
-    and (v, u).  The adjacency order is that of `_ccw_sorted`: one lexsort
-    of all directed edges on its key, then its rounded-cross check on
-    adjacent pairs; a device with a pair the key misplaced is sorted again
-    by `_ccw_sorted` itself.
+    and (v, u).  The adjacency order is that of `_ccw_before`: one lexsort
+    of all directed edges on the key (half, -vx/vy, dist2, id), which puts
+    them in that order up to rounding (-vx/vy rises with the angle inside
+    either half and is -inf on the x axis), then its check on adjacent
+    pairs; a device with a pair the key misplaced gets `_ccw_repaired`.
     """
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
@@ -182,7 +177,7 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     ids = list(range(n))  # one int object per device, shared by every entry and overlay
     adjacency = _adjacency(src, list(map(ids.__getitem__, dst.tolist())), n)
     for d in redo.tolist():
-        adjacency[d] = _ccw_sorted(pts, d, adjacency[d])
+        adjacency[d] = _ccw_repaired(pts, d, adjacency[d])
     return Network(pts, adjacency, radius)
 
 
@@ -224,21 +219,6 @@ def _cell_pairs(xs: np.ndarray, ys: np.ndarray, cell: float, r2: float) -> tuple
         found_a.append(by_cell[pa[near]])
         found_b.append(by_cell[pb[near]])
     return np.concatenate(found_a), np.concatenate(found_b)
-
-
-def from_edges(points: Sequence[Point], edges: Iterable[tuple[int, int]], radius: float = 1.0) -> Network:
-    """Build a network from an explicit edge list (for crafted topologies)."""
-    pts = list(points)
-    nbrs: list[set[int]] = [set() for _ in pts]
-    for u, v in edges:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if dist2(pts[u], pts[v]) > radius * radius:
-            raise ValueError(f"edge ({u},{v}) longer than radius {radius}")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    adjacency = [_ccw_sorted(pts, d, ns) for d, ns in enumerate(nbrs)]
-    return Network(pts, adjacency, radius)
 
 
 def gabriel_subgraph(net: Network) -> Network:

@@ -20,9 +20,10 @@ from geocastsim.netgraph import (
     Network,
     Scenario,
     bfs_hops,
+    build_unit_disk,
     connected_components,
+    edge_key,
     edge_qualifies,
-    from_edges,
 )
 from geocastsim.protocol import RoutingNets
 
@@ -38,6 +39,24 @@ near_tie = st.builds(lambda base, nudge: base + nudge,
                      st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300,
                                       2.0 ** -52, -(2.0 ** -52), 1e-16, -1e-16]))
 near_tie_points = st.builds(Point, near_tie, near_tie)
+
+
+def from_edges(points, edges, radius: float = 1.0) -> Network:
+    """Crafted topology: the unit-disk network on the points, restricted to
+    the listed edges.  A subset of a ccw-sorted adjacency stays sorted, so
+    the order, and the checks on points and radius, are the builder's."""
+    full = build_unit_disk(points, radius)
+    keep = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError("self-loops are not allowed")
+        if not (0 <= u < full.n and 0 <= v < full.n):
+            raise ValueError(f"edge ({u},{v}) names a device outside [0, {full.n})")
+        if v not in full.adjacency[u]:
+            raise ValueError(f"edge ({u},{v}) longer than radius {radius}")
+        keep.add(edge_key(u, v))
+    adjacency = [tuple(v for v in nbrs if edge_key(d, v) in keep) for d, nbrs in enumerate(full.adjacency)]
+    return Network(full.positions, adjacency, radius)
 
 
 def nets_from_edges(points, edges, radius: float = 1.5) -> RoutingNets:

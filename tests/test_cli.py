@@ -155,9 +155,10 @@ class TestSweep:
         assert main(["sweep", "--axis", "density", "--values", "9..3",
                      "-o", str(tmp_path / "x.csv")]) == 1
 
-    def test_unknown_algorithm_is_usage_error(self, tmp_path):
+    def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--axis", "density", "--values", "5",
                      "--algs", "dijkstra", "-o", str(tmp_path / "x.csv")]) == 1
+        assert "(choose from sf, spg, sf-spg, sf-spg-g)" in capsys.readouterr().err
 
     def test_bad_last_value_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -167,6 +168,17 @@ class TestSweep:
                      "-o", str(out)]) == 1
         assert calls == []
         assert "region_side" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_bad_output_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys, where):
+        calls = []
+        monkeypatch.setattr(experiments_mod, "run_trial", lambda *a, **k: calls.append(a))
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--axis", "density", "--values", "3..5", "--trials", "2",
+                     "--algs", "sf", "-o", str(out)]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "-o" in err and str(out) in err and "Traceback" not in err
 
 
 class TestExport:

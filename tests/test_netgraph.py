@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     P,
+    from_edges,
     gabriel_oracle_keeps,
     is_juncture,
     minimum_cds_oracle,
@@ -33,7 +34,6 @@ from geocastsim.netgraph import (
     cds_backbone,
     connected_components,
     edge_qualifies,
-    from_edges,
     gabriel_subgraph,
     load_scenario,
     local_faces,
@@ -100,6 +100,13 @@ def assert_matches_reference(pts, radius):
     assert net.adjacency == ref.adjacency
     assert from_edges(pts, ref.edges(), radius).adjacency == ref.adjacency
     assert cds_backbone(net) == reference_cds_backbone(ref)
+
+
+@pytest.mark.parametrize("edge, why", [((1, 1), "self-loop"), ((0, 3), "outside"),
+                                       ((-1, 0), "outside"), ((0, 2), "longer than radius")])
+def test_crafted_network_rejects_bad_edge(edge, why):
+    with pytest.raises(ValueError, match=why):
+        from_edges([P(0, 0), P(1, 0), P(2, 0)], [edge], radius=1.0)
 
 
 def lattice(cols, rows, step=1.0, x0=0.0, y0=0.0):

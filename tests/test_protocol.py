@@ -15,6 +15,7 @@ from conftest import (
     WALK_C,
     WALK_S,
     exhaustive_sf_outcomes,
+    from_edges,
     next_hop_oracle,
     nets_from_edges,
     reference_next_hop_index,
@@ -22,7 +23,7 @@ from conftest import (
 from geocastsim.engine import POLICIES, Simulation, SimulationFault
 from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
 from geocastsim.geometry import LEFT, RIGHT, Rect
-from geocastsim.netgraph import GeocastInstance, from_edges
+from geocastsim.netgraph import GeocastInstance
 from geocastsim.protocol import (
     ALGORITHMS,
     FLOOD,

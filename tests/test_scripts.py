@@ -53,3 +53,12 @@ def test_bad_input_exits_1_naming_the_field(tmp_path, name, args, field):
     done = script(name, *args, "--out-dir", str(tmp_path))
     assert done.returncode == 1
     assert field in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ["run_sweeps.py", "render_demo.py"])
+def test_out_dir_that_is_a_file_exits_1(tmp_path, name):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    done = script(name, "--out-dir", str(taken))
+    assert done.returncode == 1
+    assert "--out-dir" in done.stderr and "Traceback" not in done.stderr
