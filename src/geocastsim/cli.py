@@ -62,36 +62,36 @@ def _parse_algs(spec: str) -> tuple[str, ...]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="geocastsim", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
+    defaults = experiments.ExperimentConfig()
+    world = argparse.ArgumentParser(add_help=False)  # the flags generate and sweep share
+    world.add_argument("--density", type=float, default=defaults.density,
+                       help="devices per unit-disk area")
+    world.add_argument("--field", type=float, default=defaults.field_side, help="square field side")
+    world.add_argument("--region", type=float, default=defaults.region_side,
+                       help="square geocast region side")
+    world.add_argument("--seed", type=int, default=defaults.seed)
 
-    gen = sub.add_parser("generate", help="write a random scenario file")
-    gen.add_argument("--density", type=float, default=7.0, help="devices per unit-disk area")
-    gen.add_argument("--field", type=float, default=10.0, help="square field side")
-    gen.add_argument("--region", type=float, default=3.0, help="square geocast region side")
-    gen.add_argument("--seed", type=int, default=0)
+    gen = sub.add_parser("generate", parents=[world], help="write a random scenario file")
     gen.add_argument("--trial", type=non_negative_int, default=0, help="trial index within the seed")
     gen.add_argument("-o", "--output", required=True)
 
     run_p = sub.add_parser("run", help="run one delivery on a scenario file")
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--alg", default="sf", choices=tuple(ALGORITHMS))
-    run_p.add_argument("--policy", default="fifo", choices=POLICIES)
+    run_p.add_argument("--policy", default=defaults.policy, choices=POLICIES)
     run_p.add_argument("--seed", type=non_negative_int, default=None,
                        help="scheduler seed (defaults to the scenario's)")
     run_p.add_argument("--cds", action="store_true",
                        help="route on the connected-dominating-set backbone")
     run_p.add_argument("--trace", default=None, help="write a JSONL transcript here")
 
-    sweep_p = sub.add_parser("sweep", help="aggregate trials over a parameter axis")
-    sweep_p.add_argument("--axis", required=True, choices=("density", "region", "field"))
+    sweep_p = sub.add_parser("sweep", parents=[world], help="aggregate trials over a parameter axis")
+    sweep_p.add_argument("--axis", required=True, choices=tuple(experiments.AXES))
     sweep_p.add_argument("--values", required=True,
                          help="comma list and/or a..b integer ranges, e.g. 3..16 or 4,7,12")
-    sweep_p.add_argument("--trials", type=int, default=100)
+    sweep_p.add_argument("--trials", type=int, default=defaults.trials)
     sweep_p.add_argument("--algs", default="all")
-    sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--policy", default="fifo", choices=POLICIES)
-    sweep_p.add_argument("--density", type=float, default=7.0)
-    sweep_p.add_argument("--field", type=float, default=10.0)
-    sweep_p.add_argument("--region", type=float, default=3.0)
+    sweep_p.add_argument("--policy", default=defaults.policy, choices=POLICIES)
     sweep_p.add_argument("--cds", action="store_true")
     sweep_p.add_argument("-o", "--output", required=True)
 
@@ -121,7 +121,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _check_output(flag: str, path: str) -> None:
+    """Reject an unwritable output path; this opens nothing, so it leaves no file."""
+    if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise ValueError(f"{flag} {path}: not a file in a writable directory")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.trace:
+        _check_output("--trace", args.trace)
     scenario = load_scenario(args.scenario)
     bundle = experiments.build_nets(scenario, cds=args.cds)
     seed = scenario.seed if args.seed is None else args.seed
@@ -145,9 +153,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         field_side=args.field, density=args.density, region_side=args.region,
         algorithms=_parse_algs(args.algs), trials=args.trials, seed=args.seed,
         policy=args.policy, cds=args.cds)
-    # the check opens nothing, so a rejected value still leaves no file
-    if os.path.isdir(args.output) or not os.access(os.path.dirname(args.output) or ".", os.W_OK):
-        raise ValueError(f"-o {args.output}: not a file in a writable directory")
+    _check_output("-o", args.output)
     rows = experiments.sweep(cfg, args.axis, values)
     experiments.write_results_csv(rows, args.output)
     print(f"wrote {args.output}: {len(rows)} rows")

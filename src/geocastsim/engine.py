@@ -67,8 +67,8 @@ class _RandomPool:
 
 
 class SimState:
-    """Queued messages by directed edge (sender, receiver), oldest first, plus
-    the transcript; the only mutable state of a run."""
+    """Queued messages by directed edge (sender, receiver), oldest first, plus the
+    transcript, arrivals, one-shot gate and counters; `Simulation.pool` picks each step."""
 
     def __init__(self) -> None:
         self.queued: dict[tuple[DeviceId, DeviceId], list[Message]] = {}

@@ -41,7 +41,7 @@ class ExperimentConfig:
     field_side: float = 10.0
     density: float = 7.0
     region_side: float = 3.0
-    algorithms: tuple[str, ...] = ("sf", "spg", "sf-spg", "sf-spg-g")
+    algorithms: tuple[str, ...] = tuple(ALGORITHMS)
     trials: int = 100
     seed: int = 0
     policy: str = "fifo"
@@ -68,6 +68,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {alg!r} (choose from {', '.join(ALGORITHMS)})")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
+
+
+AXES = {"density": "density", "region": "region_side", "field": "field_side"}
 
 
 def device_count(density: float, field_side: float) -> int:
@@ -116,11 +119,9 @@ def build_nets(scenario: Scenario, cds: bool = False) -> NetBundle:
     return NetBundle(RoutingNets(restricted, planar), full, frozenset(backbone))
 
 
-def run_trial(scenario: Scenario, algorithm: str, policy: str = "fifo",
-              cds: bool = False, bundle: Optional[NetBundle] = None) -> Optional[Metrics]:
-    """Metrics of one delivery on the scenario, or None if it faulted."""
-    if bundle is None:
-        bundle = build_nets(scenario, cds)
+def run_trial(scenario: Scenario, algorithm: str, bundle: NetBundle,
+              policy: str = "fifo") -> Optional[Metrics]:
+    """Metrics of one delivery on the scenario's networks, or None if it faulted."""
     try:
         _, metrics = run(bundle.nets, scenario.instance(), algorithm, policy, scenario.seed,
                          net_full=bundle.full, backbone=bundle.backbone)
@@ -161,16 +162,6 @@ def mean_ci(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
     return mean, half
 
 
-def _with_axis_value(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "density":
-        return replace(cfg, density=value)
-    if axis == "region":
-        return replace(cfg, region_side=value)
-    if axis == "field":
-        return replace(cfg, field_side=value)
-    raise ValueError(f"unknown sweep axis {axis!r}")
-
-
 def aggregate(axis: str, value: float, algorithm: str,
               results: Sequence[Optional[Metrics]]) -> ResultRow:
     """One CSV row from the trials' metrics; None marks a faulted trial."""
@@ -199,7 +190,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Res
     algorithms see the same scenarios."""
     if not values:
         raise ValueError("sweep needs at least one value")
-    points = [(value, _with_axis_value(cfg, axis, value)) for value in values]  # all checked before any trial
+    if axis not in AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    points = [(v, replace(cfg, **{AXES[axis]: v})) for v in values]  # all checked before any trial
     rows = []
     for value, point_cfg in points:
         per_alg: dict[str, list[Optional[Metrics]]] = {alg: [] for alg in cfg.algorithms}
@@ -207,8 +200,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Res
             scenario = gen_scenario(point_cfg, trial)
             bundle = build_nets(scenario, cfg.cds)
             for alg in cfg.algorithms:
-                per_alg[alg].append(run_trial(scenario, alg, cfg.policy,
-                                              cds=cfg.cds, bundle=bundle))
+                per_alg[alg].append(run_trial(scenario, alg, bundle, cfg.policy))
         for alg in cfg.algorithms:
             rows.append(aggregate(axis, value, alg, per_alg[alg]))
     return rows

@@ -48,12 +48,11 @@ class Network:
     order nearer-first, then by id.
     """
 
-    __slots__ = ("positions", "adjacency", "radius")
+    __slots__ = ("positions", "adjacency")
 
-    def __init__(self, positions: Sequence[Point], adjacency: Sequence[Sequence[int]], radius: float):
+    def __init__(self, positions: Sequence[Point], adjacency: Sequence[Sequence[int]]):
         self.positions: tuple[Point, ...] = tuple(positions)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
-        self.radius = float(radius)
 
     @property
     def n(self) -> int:
@@ -138,7 +137,7 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     if np.any((xs[by_xy[1:]] == xs[by_xy[:-1]]) & (ys[by_xy[1:]] == ys[by_xy[:-1]])):
         raise DuplicatePointsError("device coordinates must be pairwise distinct")
     if not pts:
-        return Network((), (), radius)
+        return Network((), ())
     # Cells are a hair wider than the radius, so a pair that passes the rounded
     # distance test is never two cells apart after x / cell is rounded: the
     # relative slack covers the rounding of the test, the extent term that of
@@ -178,7 +177,7 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     adjacency = _adjacency(src, list(map(ids.__getitem__, dst.tolist())), n)
     for d in redo.tolist():
         adjacency[d] = _ccw_repaired(pts, d, adjacency[d])
-    return Network(pts, adjacency, radius)
+    return Network(pts, adjacency)
 
 
 def _cell_pairs(xs: np.ndarray, ys: np.ndarray, cell: float, r2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +262,7 @@ def gabriel_subgraph(net: Network) -> Network:
     # a subset of a ccw-sorted list stays sorted; compressing the input
     # tuples keeps the entries the very int objects of `net`
     entries = list(compress(chain.from_iterable(adj), kept.tolist()))
-    return Network(pos, _adjacency(src[kept], entries, n), net.radius)
+    return Network(pos, _adjacency(src[kept], entries, n))
 
 
 def _coordinates(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +284,7 @@ def induced_subgraph(net: Network, keep: Iterable[DeviceId]) -> Network:
         tuple(v for v in net.adjacency[d] if v in keep_set) if d in keep_set else ()
         for d in range(net.n)
     ]
-    return Network(net.positions, adjacency, net.radius)
+    return Network(net.positions, adjacency)
 
 
 def bfs_hops(net: Network, src: DeviceId) -> list[Optional[int]]:
@@ -419,22 +418,21 @@ def _next_connector(adj: Sequence[tuple[int, ...]], hub: set[int], rest: set[int
 
 @dataclass(frozen=True)
 class GeocastInstance:
-    """One geocast request: source device, its coordinates, the target region,
-    and the line from the source to the region center.
+    """One geocast request: source device, the target region, and the line
+    from the source's coordinates to the region center.
 
     `qualified` memoises `edge_qualifies`: network (by identity) -> edge key
     -> answer.  It is not part of the value, so it leaves ==, hash and repr
     alone."""
 
     source: DeviceId
-    source_point: Point
     region: Rect
     center_line: Segment
     qualified: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
-    def create(cls, source: DeviceId, source_point: Point, region: Rect) -> "GeocastInstance":
-        return cls(source, source_point, region, Segment(source_point, region.center))
+    def create(cls, source: DeviceId, point: Point, region: Rect) -> "GeocastInstance":
+        return cls(source, region, Segment(point, region.center))
 
 
 def local_faces(net: Network, d: DeviceId) -> list[tuple[DeviceId, DeviceId]]:

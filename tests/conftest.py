@@ -56,7 +56,7 @@ def from_edges(points, edges, radius: float = 1.0) -> Network:
             raise ValueError(f"edge ({u},{v}) longer than radius {radius}")
         keep.add(edge_key(u, v))
     adjacency = [tuple(v for v in nbrs if edge_key(d, v) in keep) for d, nbrs in enumerate(full.adjacency)]
-    return Network(full.positions, adjacency, radius)
+    return Network(full.positions, adjacency)
 
 
 def nets_from_edges(points, edges, radius: float = 1.5) -> RoutingNets:
@@ -328,14 +328,14 @@ def reference_unit_disk(points, radius: float) -> Network:
         raise DuplicatePointsError("device coordinates must be pairwise distinct")
     n = len(pts)
     if n == 0:
-        return Network((), (), radius)
+        return Network((), ())
     arr = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
     diff = arr[:, None, :] - arr[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     within = d2 <= radius * radius
     np.fill_diagonal(within, False)
     adjacency = [reference_ccw_sorted(pts, d, np.flatnonzero(within[d]).tolist()) for d in range(n)]
-    return Network(pts, adjacency, radius)
+    return Network(pts, adjacency)
 
 
 def reference_cds_backbone(net: Network) -> set[int]:

@@ -5,7 +5,8 @@ import pytest
 import geocastsim.engine as engine_mod
 import geocastsim.experiments as experiments_mod
 from conftest import P
-from geocastsim.cli import main, parse_values
+from geocastsim.cli import build_parser, main, parse_values
+from geocastsim.experiments import AXES, ExperimentConfig, gen_scenario, rows_to_csv, sweep
 from geocastsim.export import read_trace, used_edges_from_trace
 from geocastsim.geometry import Rect
 from geocastsim.netgraph import Scenario, load_scenario, save_scenario, scenario_to_dict
@@ -40,6 +41,12 @@ class TestGenerate:
         sc = load_scenario(str(out))
         assert len(sc.devices) == round(5 * 64 / 3.141592653589793)
         assert "wrote" in capsys.readouterr().out
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        cli_out, lib_out = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert main(["generate", "-o", str(cli_out)]) == 0
+        save_scenario(gen_scenario(ExperimentConfig(), 0), str(lib_out))
+        assert cli_out.read_bytes() == lib_out.read_bytes()
 
     def test_region_larger_than_field_is_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--region", "12", "-o", str(tmp_path / "x.json")])
@@ -136,6 +143,13 @@ class TestRun:
         events = read_trace(str(trace))
         assert [(e.sender, e.receiver) for e in events] == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_bad_trace_rejected_before_the_run(self, path_scenario, tmp_path, capsys, where):
+        trace = tmp_path if where == "directory" else tmp_path / "missing" / "t.jsonl"
+        assert main(["run", "--scenario", path_scenario, "--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--trace" in err and str(trace) in err
+
     def test_backbone_flag_runs(self, path_scenario):
         assert main(["run", "--scenario", path_scenario, "--cds"]) == 0
 
@@ -150,6 +164,18 @@ class TestSweep:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header.startswith("axis,value,algorithm,trials,faults,mean_cost")
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", "density", "--values", "3", "--trials", "1",
+                     "--algs", "sf", "-o", str(out)]) == 0
+        rows = sweep(ExperimentConfig(trials=1, algorithms=("sf",)), "density", [3.0])
+        assert out.read_bytes() == rows_to_csv(rows).encode()
+
+    def test_axis_choices_are_the_library_axes(self):
+        verbs = next(a for a in build_parser()._actions if a.dest == "verb")
+        axis = next(a for a in verbs.choices["sweep"]._actions if a.dest == "axis")
+        assert axis.choices == tuple(AXES)
 
     def test_bad_values_spec_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--axis", "density", "--values", "9..3",

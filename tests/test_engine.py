@@ -322,7 +322,7 @@ class TestBackboneDelivery:
         state, metrics = run(bundle.nets, sc.instance(), algorithm, seed=sc.seed,
                              net_full=bundle.full, backbone=bundle.backbone)
         assert metrics.delivery_rate in (None, 1.0)
-        assert metrics == run_trial(sc, algorithm, cds=True)
+        assert metrics == run_trial(sc, algorithm, build_nets(sc, cds=True))
 
         path, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
         save_scenario(sc, str(path))

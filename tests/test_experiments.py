@@ -94,7 +94,7 @@ class TestRunTrial:
         cfg = ExperimentConfig(field_side=6.0, density=6.0, trials=1, seed=14)
         for t in range(6):
             sc = gen_scenario(cfg, t)
-            res = run_trial(sc, "sf")
+            res = run_trial(sc, "sf", build_nets(sc))
             assert res is not None
             assert res.message_cost == brute_force_component_edges(sc)
 
@@ -102,7 +102,8 @@ class TestRunTrial:
         cfg = ExperimentConfig(field_side=6.0, density=7.0, region_side=2.0,
                                trials=1, seed=15)
         for t in range(6):
-            res = run_trial(gen_scenario(cfg, t), "sf")
+            sc = gen_scenario(cfg, t)
+            res = run_trial(sc, "sf", build_nets(sc))
             assert res.path_stretch in (None, 1.0)
 
     def test_planar_coverage_matches_flood_on_planar_component(self):
@@ -111,8 +112,8 @@ class TestRunTrial:
         for t in range(6):
             sc = gen_scenario(cfg, t)
             bundle = build_nets(sc)
-            flood = run_trial(sc, "sf", bundle=bundle)
-            planar = run_trial(sc, "spg", bundle=bundle)
+            flood = run_trial(sc, "sf", bundle)
+            planar = run_trial(sc, "spg", bundle)
             pcomp = component_of(bundle.nets.planar, sc.source)
             expected = flood.region_covered & frozenset(pcomp)
             assert planar.region_covered == expected
@@ -123,8 +124,8 @@ class TestRunTrial:
         for t in range(6):
             sc = gen_scenario(cfg, t)
             bundle = build_nets(sc)
-            flood = run_trial(sc, "sf", bundle=bundle)
-            combined = run_trial(sc, "sf-spg", bundle=bundle)
+            flood = run_trial(sc, "sf", bundle)
+            combined = run_trial(sc, "sf-spg", bundle)
             assert combined.region_covered == flood.region_covered
 
     def test_planar_cost_within_double_planar_edges(self):
@@ -132,7 +133,7 @@ class TestRunTrial:
         for t in range(6):
             sc = gen_scenario(cfg, t)
             bundle = build_nets(sc)
-            res = run_trial(sc, "spg", bundle=bundle)
+            res = run_trial(sc, "spg", bundle)
             pcomp = component_of(bundle.nets.planar, sc.source)
             pe = sum(1 for u, v in bundle.nets.planar.edges() if u in pcomp)
             assert res.message_cost <= 2 * pe
@@ -143,7 +144,7 @@ class TestRunTrial:
         for t in range(5):
             sc = gen_scenario(cfg, t)
             for alg in ("sf", "spg", "sf-spg"):
-                res = run_trial(sc, alg, cds=True)
+                res = run_trial(sc, alg, build_nets(sc, cds=True))
                 assert res is not None
                 assert res.delivery_rate in (None, 1.0)
 

@@ -624,7 +624,7 @@ class TestJunctures:
 
 def edge_net(pu, pv) -> Network:
     """Two devices joined by one edge, with no radius check."""
-    return Network((pu, pv), ((1,), (0,)), 10.0)
+    return Network((pu, pv), ((1,), (0,)))
 
 
 class TestQualificationOracle:

@@ -431,7 +431,7 @@ class TestGreedy:
         assert {m.dir for m in out.sends} == {LEFT, RIGHT}
         for m in out.sends:
             assert m.mode == PLANAR and m.depth == 2 and m.sender == 1
-            assert m.inst.source == 1 and m.inst.source_point == pts[1]
+            assert m.inst.source == 1 and m.inst.center_line.a == pts[1]
             assert m.inst.region == inst.region
 
     @pytest.mark.parametrize("anchor, mates", [(WALK_A, False), (WALK_S, True)],
