@@ -104,6 +104,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    _check_output("-o", args.output)
     cfg = experiments.ExperimentConfig(
         field_side=args.field, density=args.density, region_side=args.region, seed=args.seed)
     scenario = experiments.gen_scenario(cfg, args.trial)
@@ -123,12 +124,12 @@ def _fmt(v) -> str:
 
 def _check_output(flag: str, path: str) -> None:
     """Reject an unwritable output path; this opens nothing, so it leaves no file."""
-    if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+    if not path or os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
         raise ValueError(f"{flag} {path}: not a file in a writable directory")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.trace:
+    if args.trace is not None:
         _check_output("--trace", args.trace)
     scenario = load_scenario(args.scenario)
     bundle = experiments.build_nets(scenario, cds=args.cds)
@@ -142,7 +143,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"cost={metrics.message_cost} latency={_fmt(metrics.latency)} "
           f"stretch={_fmt(metrics.path_stretch)} "
           f"delivered={len(metrics.region_covered)}/{metrics.target_count}")
-    if args.trace:
+    if args.trace is not None:
         export.write_trace(state.transcript, args.trace)
     return EXIT_OK
 
@@ -161,6 +162,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    _check_output("-o", args.output)
     scenario = load_scenario(args.scenario)
     events = export.read_trace(args.trace)
     n = len(scenario.devices)

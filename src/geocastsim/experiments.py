@@ -24,6 +24,7 @@ from .netgraph import (
     cds_backbone,
     gabriel_subgraph,
     induced_subgraph,
+    pairwise_distinct,
 )
 from .protocol import ALGORITHMS, RoutingNets
 
@@ -85,11 +86,10 @@ def gen_scenario(cfg: ExperimentConfig, trial_index: int) -> Scenario:
     rng = substream(cfg.seed, trial_index, _PURPOSE_SCENARIO)
     side = cfg.field_side
     n = device_count(cfg.density, side)
-    while True:
+    coords = rng.uniform(0.0, side, size=(n, 2))
+    while not pairwise_distinct(*coords.T):  # redraw until no two devices coincide
         coords = rng.uniform(0.0, side, size=(n, 2))
-        pts = tuple(Point(float(x), float(y)) for x, y in coords)
-        if len(set((p.x, p.y) for p in pts)) == n:
-            break
+    pts = tuple(map(Point, *coords.T.tolist()))
     source = int(rng.integers(n))
     span = side - cfg.region_side
     ox = float(rng.uniform(0.0, span)) if span > 0 else 0.0

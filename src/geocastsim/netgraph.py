@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -133,8 +134,7 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
     if bad.size:
         raise ValueError(f"device {bad[0]} has a non-finite coordinate")
-    by_xy = np.lexsort((ys, xs))
-    if np.any((xs[by_xy[1:]] == xs[by_xy[:-1]]) & (ys[by_xy[1:]] == ys[by_xy[:-1]])):
+    if not pairwise_distinct(xs, ys):
         raise DuplicatePointsError("device coordinates must be pairwise distinct")
     if not pts:
         return Network((), ())
@@ -178,6 +178,12 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     for d in redo.tolist():
         adjacency[d] = _ccw_repaired(pts, d, adjacency[d])
     return Network(pts, adjacency)
+
+
+def pairwise_distinct(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """True iff no two devices share both coordinates (-0.0 equals 0.0)."""
+    by_xy = np.lexsort((ys, xs))
+    return not np.any((xs[by_xy[1:]] == xs[by_xy[:-1]]) & (ys[by_xy[1:]] == ys[by_xy[:-1]]))
 
 
 def _cell_pairs(xs: np.ndarray, ys: np.ndarray, cell: float, r2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -517,19 +523,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         return ScenarioFormatError(f"scenario field '{field}': {why}")
 
     def number(field: str, value) -> float:
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            raise fail(field, "not a number") from None
-        if not math.isfinite(x):
-            raise fail(field, "must be finite")
-        return x
-
-    def integer(field: str, value) -> int:
-        # JSON true/false arrive as bool, which Python counts as an int
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise fail(field, "must be an integer")
-        return value
+        # exact types, as in read_trace (JSON true is a bool); the bound fails NaN, inf and ints past float range
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise fail(field, "must be a finite number")
+        return float(value)
 
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
@@ -548,19 +545,21 @@ def scenario_from_dict(data: dict) -> Scenario:
     devices = data["devices"]
     if not isinstance(devices, list) or not devices:
         raise fail("devices", "expected a non-empty list of [x, y] pairs")
-    pts = []
     for i, xy in enumerate(devices):
-        if not (isinstance(xy, list) and len(xy) == 2):
-            raise fail("devices", f"entry {i} is not an [x, y] pair")
-        x, y = (number(f"devices[{i}]", v) for v in xy)
-        if not (0.0 <= x <= fw and 0.0 <= y <= fh):
-            raise fail(f"devices[{i}]", "must lie within the field")
-        pts.append(Point(x, y))
-    if len(set((p.x, p.y) for p in pts)) != len(pts):
+        if not (type(xy) is list and len(xy) == 2 and {type(xy[0]), type(xy[1])} <= {int, float}):
+            raise fail(f"devices[{i}]", "must be an [x, y] pair of numbers")
+    try:
+        xs, ys = np.array(devices, dtype=np.float64).T
+    except OverflowError:  # an int beyond float range, which number() names
+        xs, ys = np.array([[number(f"devices[{i}]", v) for v in xy] for i, xy in enumerate(devices)]).T
+    inside = (0.0 <= xs) & (xs <= fw) & (0.0 <= ys) & (ys <= fh)  # False for NaN and infinities
+    if not inside.all():
+        raise fail(f"devices[{np.argmin(inside)}]", "must be finite and lie within the field")
+    if not pairwise_distinct(xs, ys):
         raise fail("devices", "coordinates must be pairwise distinct")
-    source = integer("source", data["source"])
-    if not (0 <= source < len(pts)):
-        raise fail("source", f"must be an index in [0, {len(pts) - 1}]")
+    source = data["source"]
+    if type(source) is not int or not 0 <= source < len(devices):
+        raise fail("source", f"must be an index in [0, {len(devices) - 1}]")
     region = data["region"]
     if not (isinstance(region, list) and len(region) == 4):
         raise fail("region", "expected [xmin, ymin, xmax, ymax]")
@@ -569,10 +568,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise fail("region", "min corner exceeds max corner")
     if xmin < 0 or ymin < 0 or xmax > fw or ymax > fh:
         raise fail("region", "must lie within the field")
-    seed = integer("seed", data["seed"])
-    if seed < 0:
-        raise fail("seed", "must be non-negative")
-    return Scenario(radius, (fw, fh), tuple(pts), source, Rect.from_bounds(xmin, ymin, xmax, ymax), seed)
+    seed = data["seed"]
+    if type(seed) is not int or seed < 0:
+        raise fail("seed", "must be a non-negative integer")
+    pts = tuple(map(Point, xs.tolist(), ys.tolist()))
+    return Scenario(radius, (fw, fh), pts, source, Rect.from_bounds(xmin, ymin, xmax, ymax), seed)
 
 
 def save_scenario(sc: Scenario, path: str) -> None:

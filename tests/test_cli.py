@@ -56,6 +56,17 @@ class TestGenerate:
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["generate", "--bogus", "1", "-o", str(tmp_path / "x.json")]) == 1
 
+    @pytest.mark.parametrize("where", ["directory", "missing-directory", "empty"])
+    def test_bad_output_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, where):
+        calls = []
+        monkeypatch.setattr(experiments_mod, "gen_scenario", lambda *a, **k: calls.append(a))
+        out = {"directory": tmp_path, "missing-directory": tmp_path / "missing" / "x.json",
+               "empty": ""}[where]
+        assert main(["generate", "-o", str(out)]) == 1
+        assert calls == []
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and "-o" in err and str(out) in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize("argv, field", [
     (["generate", "--density", "inf"], "density"),
@@ -110,8 +121,10 @@ class TestRun:
         (lambda d: d.update(radius=float("inf")), "radius"),
         (lambda d: d["devices"].__setitem__(1, [55.0, 0.0]), "devices"),
         (lambda d: d.update(seed=-1), "seed"),
+        (lambda d: d.update(radius="1"), "radius"),
+        (lambda d: d["devices"].__setitem__(1, [10 ** 400, 0.0]), "devices"),
     ], ids=["null-field", "nan-device", "nan-region", "bool-source", "infinite-radius",
-            "device-outside-field", "negative-seed"])
+            "device-outside-field", "negative-seed", "string-radius", "huge-integer-device"])
     def test_unplaceable_scenario_exits_one(self, path_scenario, tmp_path, capsys,
                                             mutation, field):
         data = scenario_to_dict(load_scenario(path_scenario))
@@ -119,8 +132,8 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
         assert main(["run", "--scenario", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert field in err and "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and f"'{field}" in err and "Traceback" not in err  # not "scenario field"
 
     def test_negative_scheduler_seed_exits_one(self, path_scenario, capsys):
         assert main(["run", "--scenario", path_scenario, "--seed", "-1", "--policy", "random"]) == 1
@@ -143,9 +156,10 @@ class TestRun:
         events = read_trace(str(trace))
         assert [(e.sender, e.receiver) for e in events] == [(0, 1), (1, 2)]
 
-    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("where", ["directory", "missing-directory", "empty"])
     def test_bad_trace_rejected_before_the_run(self, path_scenario, tmp_path, capsys, where):
-        trace = tmp_path if where == "directory" else tmp_path / "missing" / "t.jsonl"
+        trace = {"directory": tmp_path, "missing-directory": tmp_path / "missing" / "t.jsonl",
+                 "empty": ""}[where]
         assert main(["run", "--scenario", path_scenario, "--trace", str(trace)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and "--trace" in err and str(trace) in err
@@ -177,6 +191,15 @@ class TestSweep:
         axis = next(a for a in verbs.choices["sweep"]._actions if a.dest == "axis")
         assert axis.choices == tuple(AXES)
 
+    def test_backbone_sweep_is_the_library_sweep(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", "density", "--values", "5,7", "--trials", "2",
+                     "--algs", "all", "--cds", "-o", str(out)]) == 0
+        rows = sweep(ExperimentConfig(trials=2, cds=True), "density", [5.0, 7.0])
+        assert out.read_bytes() == rows_to_csv(rows).encode()
+        assert len(rows) == 8
+        assert all(r.faults == 0 and r.delivery_rate == 1.0 for r in rows)
+
     def test_bad_values_spec_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--axis", "density", "--values", "9..3",
                      "-o", str(tmp_path / "x.csv")]) == 1
@@ -195,11 +218,12 @@ class TestSweep:
         assert calls == []
         assert "region_side" in capsys.readouterr().err and not out.exists()
 
-    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("where", ["directory", "missing-directory", "empty"])
     def test_bad_output_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys, where):
         calls = []
         monkeypatch.setattr(experiments_mod, "run_trial", lambda *a, **k: calls.append(a))
-        out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        out = {"directory": tmp_path, "missing-directory": tmp_path / "missing" / "x.csv",
+               "empty": ""}[where]
         assert main(["sweep", "--axis", "density", "--values", "3..5", "--trials", "2",
                      "--algs", "sf", "-o", str(out)]) == 1
         assert calls == []
@@ -258,6 +282,22 @@ class TestExport:
         assert main(["export", "--scenario", path_scenario, "--trace", str(trace),
                      "--format", "dot", "-o", str(tmp_path / "x.dot")]) == 1
         assert f"device {sender}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory", "empty"])
+    def test_bad_output_rejected_before_any_work(self, path_scenario, tmp_path, monkeypatch,
+                                                 capsys, where):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", "--scenario", path_scenario, "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(experiments_mod, "build_nets", lambda *a, **k: calls.append(a))
+        out = {"directory": tmp_path, "missing-directory": tmp_path / "missing" / "x.svg",
+               "empty": ""}[where]
+        assert main(["export", "--scenario", path_scenario, "--trace", str(trace),
+                     "--format", "svg", "-o", str(out)]) == 1
+        assert calls == []
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and "-o" in err and str(out) in err and "Traceback" not in err
 
     def test_missing_trace_exits_one(self, path_scenario, tmp_path):
         assert main(["export", "--scenario", path_scenario,

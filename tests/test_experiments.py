@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import geocastsim.experiments as experiments_mod
 from conftest import component_of
 from geocastsim.experiments import (
     ExperimentConfig,
@@ -16,7 +17,8 @@ from geocastsim.experiments import (
     sweep,
     write_results_csv,
 )
-from geocastsim.geometry import dist2
+from geocastsim.engine import substream
+from geocastsim.geometry import Point, dist2
 
 
 def brute_force_component_edges(scenario):
@@ -54,6 +56,35 @@ class TestScenarioGeneration:
         cfg = ExperimentConfig(trials=1, seed=8)
         assert gen_scenario(cfg, 4) == gen_scenario(cfg, 4)
         assert gen_scenario(cfg, 4) != gen_scenario(cfg, 5)
+
+    def test_coinciding_draw_is_redrawn(self, monkeypatch):
+        """A device draw with two devices at one point is dropped whole, and
+        the world is built from the stream's next draw."""
+        class FirstDrawCoincides:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, False
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def uniform(self, *args, **kwargs):
+                out = self.rng.uniform(*args, **kwargs)
+                if not self.drawn:
+                    self.drawn = True
+                    out[1] = out[0]
+                return out
+
+        cfg = ExperimentConfig(trials=1, seed=8)
+        n = device_count(cfg.density, cfg.field_side)
+        rng = substream(cfg.seed, 0, experiments_mod._PURPOSE_SCENARIO)
+        first = rng.uniform(0.0, cfg.field_side, size=(n, 2))
+        second = rng.uniform(0.0, cfg.field_side, size=(n, 2))
+        source = int(rng.integers(n))
+        monkeypatch.setattr(experiments_mod, "substream", lambda *a: FirstDrawCoincides(substream(*a)))
+        sc = gen_scenario(cfg, 0)
+        assert sc.devices == tuple(Point(x, y) for x, y in second.tolist())
+        assert sc.devices[0] != Point(*first[0].tolist())
+        assert sc.source == source
 
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError, match="trial_index must be non-negative, got -1"):

@@ -766,9 +766,27 @@ class TestScenarioIO:
         (lambda d: d.update(radius=float("inf")), "radius"),
         (lambda d: d.update(source=True), "source"),
         (lambda d: d.update(seed=False), "seed"),
+        (lambda d: d.update(radius="1"), "radius"),
+        (lambda d: d.update(field=[True, 10]), "field"),
+        (lambda d: d["devices"].__setitem__(3, [0.5, "0.5"]), "devices"),
+        (lambda d: d["devices"].__setitem__(3, [False, 1.0]), "devices"),
+        (lambda d: d["region"].__setitem__(1, "1"), "region"),
+        (lambda d: d.update(radius=10 ** 400), "radius"),
+        (lambda d: d["devices"].__setitem__(3, [1.0, 10 ** 400]), "devices"),
+        (lambda d: d["region"].__setitem__(2, 10 ** 400), "region"),
     ])
     def test_malformed_scenarios_name_the_field(self, mutation, field):
         data = scenario_to_dict(self.scenario())
         mutation(data)
-        with pytest.raises(ScenarioFormatError, match=field):
+        with pytest.raises(ScenarioFormatError, match=f"field '{field}"):  # not "within the field"
             scenario_from_dict(data)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        data = scenario_to_dict(self.scenario())
+        data.update(radius=1, field=[10, 10], region=[2, 3, 5, 6])
+        data["devices"][0] = [1, 2]
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario_from_dict(data), str(path))
+        data.update(radius=1.0, field=[10.0, 10.0], region=[2.0, 3.0, 5.0, 6.0])
+        data["devices"][0] = [1.0, 2.0]
+        assert path.read_text() == json.dumps(data) + "\n"
