@@ -12,23 +12,24 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .netgraph import DeviceId, GeocastInstance, Network, bfs_hops
+from .netgraph import DeviceId, GeocastInstance, Network
 from .protocol import ALGORITHMS, Algorithm, Message, RoutingNets, mate_matches
 
 BUDGET_FACTOR = 50
 POLICIES = ("fifo", "lifo", "random")
+DEFAULT_POLICY = POLICIES[0]
 
 
 class SimulationFault(RuntimeError):
     """Step budget exhausted: the run did not reach quiescence."""
 
 
-@dataclass(frozen=True)
-class TransmissionEvent:
+class TransmissionEvent(NamedTuple):
+    """One transmission; as a tuple it equals the plain tuple of its fields."""
     step: int
     mode: str
     dir: Optional[str]
@@ -95,13 +96,12 @@ class Simulation:
     """A single run: initiate, then step to quiescence."""
 
     def __init__(self, nets: RoutingNets, inst: GeocastInstance,
-                 algorithm: Union[str, Algorithm] = "sf", policy: str = "fifo",
+                 algorithm: Union[str, Algorithm] = "sf", policy: str = DEFAULT_POLICY,
                  seed: int = 0, step_budget: Optional[int] = None):
         self.nets = nets
         self.algorithm = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
-        n = nets.full.n
         if step_budget is None:
-            step_budget = BUDGET_FACTOR * n * max(1, nets.full.max_degree())
+            step_budget = BUDGET_FACTOR * nets.full.n * max(1, nets.full.max_degree())
         self.step_budget = step_budget
         if policy in ("fifo", "lifo"):
             self.pool = _DequePool(lifo=policy == "lifo")
@@ -116,50 +116,54 @@ class Simulation:
         # at initiation, so later receipts only forward or annihilate
         self.state.arrival[inst.source] = 0
         self.state.split_done.add(inst.source)
-        for m in self.algorithm.initiate(nets, inst):
-            self._enqueue(m)
+        self._enqueue(self.algorithm.initiate(nets, inst))
 
-    def _enqueue(self, m: Message) -> None:
-        self.state.queued.setdefault((m.sender, m.receiver), []).append(m)
-        self.pool.add(m)
-        self.state.enqueued += 1
+    def _enqueue(self, sends: list) -> None:
+        queued, add = self.state.queued, self.pool.add
+        for m in sends:
+            queued.setdefault((m.sender, m.receiver), []).append(m)
+            add(m)
+        self.state.enqueued += len(sends)
 
     def _apply(self, m: Message) -> TransmissionEvent:
         st = self.state
+        queued = st.queued
         s, d = m.sender, m.receiver
-        edge = st.queued[(s, d)]
+        edge = queued[(s, d)]
         edge.remove(m)
         if not edge:
-            del st.queued[(s, d)]
-        event = TransmissionEvent(st.steps + 1, m.mode, m.dir, s, d, m.depth)
-        st.transcript.append(event)
-        prev = st.arrival.get(d)
+            del queued[(s, d)]
+        transcript = st.transcript
+        event = TransmissionEvent(len(transcript) + 1, m.mode, m.dir, s, d, m.depth)
+        transcript.append(event)
+        arrival = st.arrival
+        prev = arrival.get(d)
         if prev is None or m.depth < prev:
-            st.arrival[d] = m.depth
-        back = st.queued.get((d, s))
+            arrival[d] = m.depth
+        back = queued.get((d, s))
         if back is not None:
             for mate in back:
                 if mate_matches(m, mate):
                     back.remove(mate)
                     if not back:
-                        del st.queued[(d, s)]
+                        del queued[(d, s)]
                     st.annihilated += 1
                     return event
         mutation = self.algorithm.handle(self.nets, d, m, split_done=d in st.split_done)
         if mutation.split:
             st.split_done.add(d)
-        for out in mutation.sends:
-            self._enqueue(out)
+        self._enqueue(mutation.sends)
         return event
 
     def step(self) -> Optional[TransmissionEvent]:
         """Transmit one message; None means nothing is queued (quiescent)."""
-        queued = self.state.queued
+        st = self.state
+        queued = st.queued
         if not queued:
             return None
-        if self.state.steps >= self.step_budget:
-            raise SimulationFault(f"no quiescence after {self.state.steps} steps (budget "
-                                  f"{self.step_budget}, {self.state.queued_messages()} messages still queued)")
+        if len(st.transcript) >= self.step_budget:
+            raise SimulationFault(f"no quiescence after {st.steps} steps (budget "
+                                  f"{self.step_budget}, {st.queued_messages()} messages still queued)")
         while True:
             m = self.pool.pop()
             if m in queued.get((m.sender, m.receiver), ()):
@@ -190,52 +194,34 @@ def compute_metrics(state: SimState, net_full: Network, inst: GeocastInstance) -
     the lowest id); in-region devices of other components are not counted.
     """
     cost = len(state.transcript)
-    region = inst.region
-    in_region = {d for d in range(net_full.n) if region.contains(net_full.positions[d])}
-    covered = frozenset(state.arrival.keys() & in_region)
-    hops = bfs_hops(net_full, inst.source)
-    targets = {d for d in in_region if hops[d] is not None}
+    world = inst.world(net_full)
+    covered = frozenset(state.arrival.keys() & world.region)
+    hops, targets, far = world.reach
     if not targets:
         return Metrics(cost, covered, None, None, None, None, 0)
-    far = max(targets, key=lambda d: (hops[d], -d))
     latency = state.arrival.get(far)
-    stretch = None
-    if latency is not None and hops[far] > 0:
-        stretch = latency / hops[far]
-    return Metrics(
-        message_cost=cost,
-        region_covered=covered,
-        latency=latency,
-        path_stretch=stretch,
-        normalized_cost=cost / len(targets),
-        delivery_rate=len(covered & targets) / len(targets),
-        target_count=len(targets),
-    )
+    stretch = latency / hops[far] if latency is not None and hops[far] > 0 else None
+    return Metrics(cost, covered, latency, stretch, cost / len(targets),
+                   len(covered & targets) / len(targets), len(targets))
 
 
 def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
                       backbone: frozenset) -> int:
     """Backbone mode epilogue: one-hop delivery from visited backbone devices
     to dominated in-region neighbors that routing never reached."""
-    extra = 0
-    region = inst.region
-    for d in range(net_full.n):
-        if d in backbone or d in state.arrival or not region.contains(net_full.positions[d]):
-            continue
-        dominators = [u for u in net_full.adjacency[d] if u in backbone and u in state.arrival]
-        if not dominators:
-            continue
-        u = min(dominators, key=lambda v: (state.arrival[v], v))
-        depth = state.arrival[u] + 1
-        event = TransmissionEvent(state.steps + 1, "flood", None, u, d, depth)
-        state.transcript.append(event)
-        state.arrival[d] = depth
-        extra += 1
-    return extra
+    arrival, transcript = state.arrival, state.transcript
+    before = len(transcript)
+    for d in sorted(inst.world(net_full).region.difference(backbone, arrival)):
+        dominators = [u for u in net_full.adjacency[d] if u in backbone and u in arrival]
+        if dominators:
+            u = min(dominators, key=lambda v: (arrival[v], v))
+            arrival[d] = arrival[u] + 1
+            transcript.append(TransmissionEvent(len(transcript) + 1, "flood", None, u, d, arrival[d]))
+    return len(transcript) - before
 
 
 def run(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm] = "sf",
-        policy: str = "fifo", seed: int = 0, step_budget: Optional[int] = None, *,
+        policy: str = DEFAULT_POLICY, seed: int = 0, step_budget: Optional[int] = None, *,
         net_full: Optional[Network] = None,
         backbone: Optional[frozenset] = None) -> tuple[SimState, Metrics]:
     """One delivery: simulate to quiescence, then measure.
@@ -260,7 +246,7 @@ def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algor
            transcript: Iterable[TransmissionEvent]) -> SimState:
     """Re-apply a transcript to a fresh state; raises ValueError if any event
     names a device outside [0, n) or cannot be matched to a queued message."""
-    sim = Simulation(nets, inst, algorithm, policy="fifo", step_budget=None)
+    sim = Simulation(nets, inst, algorithm)
     n = nets.full.n
     for event in transcript:
         if not (0 <= event.sender < n and 0 <= event.receiver < n):

@@ -14,8 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import POLICIES, Metrics, SimulationFault, run, substream
+from .engine import DEFAULT_POLICY, POLICIES, Metrics, SimulationFault, run, substream
 from .netgraph import (
+    GeocastInstance,
     Network,
     Point,
     Rect,
@@ -45,7 +46,7 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = tuple(ALGORITHMS)
     trials: int = 100
     seed: int = 0
-    policy: str = "fifo"
+    policy: str = DEFAULT_POLICY
     cds: bool = False
 
     def __post_init__(self) -> None:
@@ -119,11 +120,12 @@ def build_nets(scenario: Scenario, cds: bool = False) -> NetBundle:
     return NetBundle(RoutingNets(restricted, planar), full, frozenset(backbone))
 
 
-def run_trial(scenario: Scenario, algorithm: str, bundle: NetBundle,
-              policy: str = "fifo") -> Optional[Metrics]:
-    """Metrics of one delivery on the scenario's networks, or None if it faulted."""
+def run_trial(scenario: Scenario, algorithm: str, bundle: NetBundle, inst: GeocastInstance,
+              policy: str = DEFAULT_POLICY) -> Optional[Metrics]:
+    """Metrics of one delivery of the scenario's instance `inst` on its networks, or
+    None if it faulted.  `sweep` passes one instance to all algorithms of a trial."""
     try:
-        _, metrics = run(bundle.nets, scenario.instance(), algorithm, policy, scenario.seed,
+        _, metrics = run(bundle.nets, inst, algorithm, policy, scenario.seed,
                          net_full=bundle.full, backbone=bundle.backbone)
     except SimulationFault:
         return None
@@ -199,8 +201,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Res
         for trial in range(cfg.trials):
             scenario = gen_scenario(point_cfg, trial)
             bundle = build_nets(scenario, cfg.cds)
+            inst = scenario.instance()
             for alg in cfg.algorithms:
-                per_alg[alg].append(run_trial(scenario, alg, bundle, cfg.policy))
+                per_alg[alg].append(run_trial(scenario, alg, bundle, inst, cfg.policy))
         for alg in cfg.algorithms:
             rows.append(aggregate(axis, value, alg, per_alg[alg]))
     return rows

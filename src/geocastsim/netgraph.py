@@ -7,6 +7,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
@@ -422,23 +423,45 @@ def _next_connector(adj: Sequence[tuple[int, ...]], hub: set[int], rest: set[int
     raise RuntimeError("connector search failed inside a connected component")
 
 
+class World:
+    """What one network and one instance alone decide: `region`, the in-region
+    devices, and `reach`, made on first use: the hop distances from the
+    source, the targets (the in-region devices it reaches) and the furthest
+    target (most hops, then lowest id; None without targets)."""
+
+    def __init__(self, net: Network, inst: "GeocastInstance"):
+        self.net, self.source = net, inst.source
+        self.region = frozenset(compress(range(net.n), map(inst.region.contains, net.positions)))
+
+    @cached_property
+    def reach(self) -> tuple[list[Optional[int]], frozenset, Optional[DeviceId]]:
+        hops = bfs_hops(self.net, self.source)
+        targets = frozenset(d for d in self.region if hops[d] is not None)
+        return hops, targets, max(targets, key=lambda d: (hops[d], -d), default=None)
+
+
 @dataclass(frozen=True)
 class GeocastInstance:
     """One geocast request: source device, the target region, and the line
     from the source's coordinates to the region center.
 
-    `qualified` memoises `edge_qualifies`: network (by identity) -> edge key
-    -> answer.  It is not part of the value, so it leaves ==, hash and repr
-    alone."""
+    Two memos by network identity leave ==, hash and repr alone: `qualified`
+    holds `edge_qualifies` (edge key -> answer), `worlds` the `World`."""
 
     source: DeviceId
     region: Rect
     center_line: Segment
     qualified: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    worlds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def create(cls, source: DeviceId, point: Point, region: Rect) -> "GeocastInstance":
         return cls(source, region, Segment(point, region.center))
+
+    def world(self, net: Network) -> World:
+        if (w := self.worlds.get(net)) is None:
+            w = self.worlds[net] = World(net, self)
+        return w
 
 
 def local_faces(net: Network, d: DeviceId) -> list[tuple[DeviceId, DeviceId]]:

@@ -74,19 +74,15 @@ def opposite(direction: str) -> str:
 def mate_matches(m1: Message, m2: Message) -> bool:
     """Mates: same instance, each one's sender is the other's receiver, and
     either both flood or both planar with opposite traversal directions."""
-    if m1.sender != m2.receiver or m1.receiver != m2.sender:
+    if m1.sender != m2.receiver or m1.receiver != m2.sender or m1.mode != m2.mode:
         return False
-    if m1.inst != m2.inst:
+    if m1.inst is not m2.inst and m1.inst != m2.inst:
         return False
-    if m1.mode == FLOOD and m2.mode == FLOOD:
-        return True
-    if m1.mode == PLANAR and m2.mode == PLANAR:
-        return m1.dir != m2.dir
-    return False
+    return m1.mode == FLOOD or (m1.mode == PLANAR and m1.dir != m2.dir)
 
 
 def _in_region(nets: RoutingNets, inst: GeocastInstance, d: DeviceId) -> bool:
-    return inst.region.contains(nets.full.positions[d])
+    return d in inst.world(nets.full).region
 
 
 # --- stateless flooding -----------------------------------------------------
@@ -180,12 +176,13 @@ def _region_burst(nets: RoutingNets, inst: GeocastInstance, d: DeviceId,
                   exclude: Optional[DeviceId], depth: int) -> list:
     """One flood message per in-region neighbor and one L/R pair per
     out-of-region planar neighbor, skipping `exclude`."""
+    region = inst.world(nets.full).region
     sends: list = []
     for u in nets.full.adjacency[d]:
-        if u != exclude and _in_region(nets, inst, u):
+        if u != exclude and u in region:
             sends.append(Message(FLOOD, None, d, u, inst, depth))
     for u in nets.planar.adjacency[d]:
-        if u != exclude and not _in_region(nets, inst, u):
+        if u != exclude and u not in region:
             sends.append(Message(PLANAR, LEFT, d, u, inst, depth))
             sends.append(Message(PLANAR, RIGHT, d, u, inst, depth))
     return sends

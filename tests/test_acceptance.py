@@ -155,7 +155,7 @@ def _trend_point(density=7.0, region=3.0, field=10.0, algorithms=("sf",), trials
         scenario = gen_scenario(cfg, trial)
         bundle = build_nets(scenario)
         for alg in algorithms:
-            m = run_trial(scenario, alg, bundle)
+            m = run_trial(scenario, alg, bundle, scenario.instance())
             assert m is not None, f"unexpected fault: {alg} trial {trial}"
             collected[alg]["cost"].append(float(m.message_cost))
             if m.normalized_cost is not None:

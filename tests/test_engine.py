@@ -8,6 +8,7 @@ import pytest
 
 from conftest import P, nets_from_edges, sf_border_violations
 from geocastsim.engine import (
+    POLICIES,
     Metrics,
     Simulation,
     SimulationFault,
@@ -25,10 +26,11 @@ from geocastsim.netgraph import (
     GeocastInstance,
     bfs_hops,
     build_unit_disk,
+    edge_qualifies,
     gabriel_subgraph,
     save_scenario,
 )
-from geocastsim.protocol import RoutingNets
+from geocastsim.protocol import ALGORITHMS, RoutingNets
 
 FAR_REGION = Rect.from_bounds(50.0, 50.0, 51.0, 51.0)
 
@@ -210,6 +212,61 @@ class TestDeterminismAndConservation:
         assert digest.hexdigest() == ACCEPTANCE_TRANSCRIPTS_SHA256
 
 
+def world_answers(inst: GeocastInstance, net) -> tuple:
+    """Everything the instance's memos answer on `net`: the world values and
+    the qualification of every edge."""
+    world = inst.world(net)
+    return world.region, world.reach, {e: edge_qualifies(net, *e, inst) for e in net.edges()}
+
+
+class TestWorldMemo:
+    """One instance may serve several networks; each network gets exactly
+    what a fresh instance of the same value gives on it."""
+
+    def test_backbone_graph_then_unit_disk_graph(self):
+        sc = gen_scenario(ExperimentConfig(seed=3), 0)
+        bundle = build_nets(sc, cds=True)
+        shared = sc.instance()
+        restricted = world_answers(shared, bundle.nets.full)
+        full = world_answers(shared, bundle.full)
+        assert restricted == world_answers(sc.instance(), bundle.nets.full)
+        assert full == world_answers(sc.instance(), bundle.full)
+        assert set(shared.worlds) == {bundle.nets.full, bundle.full}
+        # the backbone reaches fewer devices, so the two worlds differ
+        hops = [shared.world(net).reach[0] for net in (bundle.nets.full, bundle.full)]
+        assert hops[0].count(None) > hops[1].count(None)
+
+    def test_two_scenarios_graphs(self):
+        cfg = ExperimentConfig(seed=5)
+        first, second = gen_scenario(cfg, 0), gen_scenario(cfg, 1)
+        assert len(first.devices) == len(second.devices)
+        shared = first.instance()
+        answers = []
+        for sc in (first, second):
+            net = build_nets(sc).nets.planar
+            answers.append(world_answers(shared, net))
+            assert answers[-1] == world_answers(first.instance(), net)
+        assert answers[0] != answers[1]
+
+    @pytest.mark.parametrize("cds", [False, True])
+    def test_shared_instance_measures_like_fresh_ones(self, cds):
+        cfg = ExperimentConfig(seed=8, field_side=8.0, region_side=3.0)
+        for trial in range(10):
+            sc = gen_scenario(cfg, trial)
+            bundle = build_nets(sc, cds=cds)
+            shared = sc.instance()
+            for alg in ALGORITHMS:
+                for policy in POLICIES:
+                    (state, metrics), (fresh_state, fresh_metrics) = (
+                        run(bundle.nets, inst, alg, policy, sc.seed,
+                            net_full=bundle.full, backbone=bundle.backbone)
+                        for inst in (shared, sc.instance()))
+                    assert metrics == fresh_metrics
+                    assert state.transcript == fresh_state.transcript
+                    assert compute_metrics(state, bundle.full, shared) == \
+                        compute_metrics(state, bundle.full, sc.instance())
+
+
 class TestRetainedMemory:
     def test_metrics_hold_no_collection_over_visited_devices(self):
         # a caller that keeps many Metrics (a sweep, a benchmark pass) must
@@ -266,10 +323,22 @@ class TestReplayAndTrace:
         state, _ = run(nets, inst, "sf")
         first = state.transcript[0]
         assert (first.sender, first.receiver) == (0, 1)
-        bad = dataclasses.replace(first, sender=sender, receiver=receiver)
+        bad = first._replace(sender=sender, receiver=receiver)
         with pytest.raises(ValueError, match=r"names a device outside \[0, 3\)") as err:
             replay(nets, inst, "sf", [bad] + state.transcript[1:])
         assert repr(bad) in str(err.value)
+
+    def test_event_is_the_tuple_of_its_fields(self):
+        # events are NamedTuples: equal to the plain tuple of their fields,
+        # with the repr the transcript hashes have always been taken over
+        event = TransmissionEvent(7, "planar", "L", 3, 12, 4)
+        assert event == (7, "planar", "L", 3, 12, 4)
+        assert tuple(event) == (event.step, event.mode, event.dir, event.sender,
+                                event.receiver, event.depth)
+        assert repr(event) == ("TransmissionEvent(step=7, mode='planar', dir='L', "
+                               "sender=3, receiver=12, depth=4)")
+        assert repr(TransmissionEvent(1, "flood", None, 0, 1, 1)) == (
+            "TransmissionEvent(step=1, mode='flood', dir=None, sender=0, receiver=1, depth=1)")
 
     def test_trace_round_trip(self, tmp_path):
         nets, inst = triangle_fixture()
@@ -322,7 +391,7 @@ class TestBackboneDelivery:
         state, metrics = run(bundle.nets, sc.instance(), algorithm, seed=sc.seed,
                              net_full=bundle.full, backbone=bundle.backbone)
         assert metrics.delivery_rate in (None, 1.0)
-        assert metrics == run_trial(sc, algorithm, build_nets(sc, cds=True))
+        assert metrics == run_trial(sc, algorithm, build_nets(sc, cds=True), sc.instance())
 
         path, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
         save_scenario(sc, str(path))
