@@ -136,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     try:
         state, metrics = run(bundle.nets, scenario.instance(), args.alg, args.policy, seed,
-                             net_full=bundle.full, backbone=bundle.backbone)
+                             backbone=bundle.backbone)
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
@@ -174,9 +174,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     used = export.used_edges_from_trace(events)
     bundle = experiments.build_nets(scenario)
     if args.format == "dot":
-        text = export.render_dot(scenario, bundle.full, used)
+        text = export.render_dot(scenario, bundle.nets.unit_disk, used)
     else:
-        text = export.render_svg(scenario, bundle.full, used, planar=bundle.nets.planar)
+        text = export.render_svg(scenario, bundle.nets.unit_disk, used, planar=bundle.nets.planar)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.output}")

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .netgraph import DeviceId, GeocastInstance, Network
+from .netgraph import DeviceId, GeocastInstance
 from .protocol import ALGORITHMS, Algorithm, Message, RoutingNets, mate_matches
 
 BUDGET_FACTOR = 50
@@ -116,7 +116,7 @@ class Simulation:
         # at initiation, so later receipts only forward or annihilate
         self.state.arrival[inst.source] = 0
         self.state.split_done.add(inst.source)
-        self._enqueue(self.algorithm.initiate(nets, inst))
+        self._enqueue(self.algorithm.initiate(nets, nets.world(inst)))
 
     def _enqueue(self, sends: list) -> None:
         queued, add = self.state.queued, self.pool.add
@@ -186,15 +186,15 @@ class Metrics:
     target_count: int
 
 
-def compute_metrics(state: SimState, net_full: Network, inst: GeocastInstance) -> Metrics:
+def compute_metrics(state: SimState, nets: RoutingNets, inst: GeocastInstance) -> Metrics:
     """Cost, coverage, and latency of a quiescent run.
 
     The furthest target is the reachable in-region device with the greatest
-    hop distance from the source on the full unit-disk graph (ties break to
-    the lowest id); in-region devices of other components are not counted.
+    hop distance from the source on `nets.unit_disk` (ties break to the
+    lowest id); in-region devices of other components are not counted.
     """
     cost = len(state.transcript)
-    world = inst.world(net_full)
+    world = nets.world(inst)
     covered = frozenset(state.arrival.keys() & world.region)
     hops, targets, far = world.reach
     if not targets:
@@ -205,14 +205,14 @@ def compute_metrics(state: SimState, net_full: Network, inst: GeocastInstance) -
                    len(covered & targets) / len(targets), len(targets))
 
 
-def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
+def deliver_dominated(state: SimState, nets: RoutingNets, inst: GeocastInstance,
                       backbone: frozenset) -> int:
     """Backbone mode epilogue: one-hop delivery from visited backbone devices
     to dominated in-region neighbors that routing never reached."""
     arrival, transcript = state.arrival, state.transcript
     before = len(transcript)
-    for d in sorted(inst.world(net_full).region.difference(backbone, arrival)):
-        dominators = [u for u in net_full.adjacency[d] if u in backbone and u in arrival]
+    for d in sorted(nets.world(inst).region.difference(backbone, arrival)):
+        dominators = [u for u in nets.unit_disk.adjacency[d] if u in backbone and u in arrival]
         if dominators:
             u = min(dominators, key=lambda v: (arrival[v], v))
             arrival[d] = arrival[u] + 1
@@ -222,24 +222,20 @@ def deliver_dominated(state: SimState, net_full: Network, inst: GeocastInstance,
 
 def run(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm] = "sf",
         policy: str = DEFAULT_POLICY, seed: int = 0, step_budget: Optional[int] = None, *,
-        net_full: Optional[Network] = None,
         backbone: Optional[frozenset] = None) -> tuple[SimState, Metrics]:
-    """One delivery: simulate to quiescence, then measure.
+    """One delivery: simulate to quiescence, then measure on `nets.unit_disk`.
 
-    `net_full` is the unrestricted unit-disk graph the metrics are taken on
-    (default `nets.full`).  When `nets` is restricted to a `backbone`, the run
-    ends with the one-hop delivery to dominated devices (`deliver_dominated`);
-    that needs `net_full`, since `nets.full` has no edges off the backbone.
-    Raises SimulationFault if the step budget runs out.
+    When `nets` is restricted to a `backbone`, the run ends with the one-hop
+    delivery to dominated devices (`deliver_dominated`); that needs
+    `nets.unit_disk` to be the unrestricted graph, since `nets.full` has no
+    edges off the backbone.  Raises SimulationFault if the step budget runs out.
     """
-    if net_full is None:
-        if backbone is not None:
-            raise ValueError("a backbone run needs net_full, the unrestricted unit-disk graph")
-        net_full = nets.full
+    if backbone is not None and nets.unit_disk is nets.full:
+        raise ValueError("a backbone run needs nets.unit_disk, the unrestricted unit-disk graph")
     state = Simulation(nets, inst, algorithm, policy, seed, step_budget).run_to_quiescence()
     if backbone is not None:
-        deliver_dominated(state, net_full, inst, backbone)
-    return state, compute_metrics(state, net_full, inst)
+        deliver_dominated(state, nets, inst, backbone)
+    return state, compute_metrics(state, nets, inst)
 
 
 def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm],

@@ -16,8 +16,7 @@ import numpy as np
 
 from .engine import DEFAULT_POLICY, POLICIES, Metrics, SimulationFault, run, substream
 from .netgraph import (
-    GeocastInstance,
-    Network,
+    DOMAIN_LIMIT,
     Point,
     Rect,
     Scenario,
@@ -54,6 +53,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not self.field_side <= DOMAIN_LIMIT:
+            raise ValueError(f"field_side must be at most 2**511, got {self.field_side!r}")
         if not 0 <= self.region_side <= self.field_side:
             raise ValueError(f"region_side must lie in [0, field_side = {self.field_side!r}], "
                              f"got {self.region_side!r}")
@@ -103,30 +104,29 @@ def gen_scenario(cfg: ExperimentConfig, trial_index: int) -> Scenario:
 @dataclass(frozen=True)
 class NetBundle:
     nets: RoutingNets
-    full: Network  # the unrestricted unit-disk graph (metrics reference)
     backbone: Optional[frozenset]
 
 
 def build_nets(scenario: Scenario, cds: bool = False) -> NetBundle:
     full = build_unit_disk(scenario.devices, scenario.radius)
     if not cds:
-        return NetBundle(RoutingNets(full, gabriel_subgraph(full)), full, None)
+        return NetBundle(RoutingNets(full, gabriel_subgraph(full)), None)
     backbone = cds_backbone(full)
     backbone.add(scenario.source)
     restricted = induced_subgraph(full, backbone)
     # planarize the restricted graph itself so the backbone overlay keeps its
     # connectivity component-wise
     planar = gabriel_subgraph(restricted)
-    return NetBundle(RoutingNets(restricted, planar), full, frozenset(backbone))
+    return NetBundle(RoutingNets(restricted, planar, full), frozenset(backbone))
 
 
-def run_trial(scenario: Scenario, algorithm: str, bundle: NetBundle, inst: GeocastInstance,
+def run_trial(scenario: Scenario, algorithm: str, bundle: NetBundle,
               policy: str = DEFAULT_POLICY) -> Optional[Metrics]:
-    """Metrics of one delivery of the scenario's instance `inst` on its networks, or
-    None if it faulted.  `sweep` passes one instance to all algorithms of a trial."""
+    """Metrics of one delivery of the scenario's instance on its networks, or
+    None if it faulted.  Runs on one bundle share its routing value's worlds."""
     try:
-        _, metrics = run(bundle.nets, inst, algorithm, policy, scenario.seed,
-                         net_full=bundle.full, backbone=bundle.backbone)
+        _, metrics = run(bundle.nets, scenario.instance(), algorithm, policy, scenario.seed,
+                         backbone=bundle.backbone)
     except SimulationFault:
         return None
     return metrics
@@ -201,9 +201,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Res
         for trial in range(cfg.trials):
             scenario = gen_scenario(point_cfg, trial)
             bundle = build_nets(scenario, cfg.cds)
-            inst = scenario.instance()
             for alg in cfg.algorithms:
-                per_alg[alg].append(run_trial(scenario, alg, bundle, inst, cfg.policy))
+                per_alg[alg].append(run_trial(scenario, alg, bundle, cfg.policy))
         for alg in cfg.algorithms:
             rows.append(aggregate(axis, value, alg, per_alg[alg]))
     return rows

@@ -6,7 +6,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, compress
@@ -28,6 +28,11 @@ from .geometry import (
 )
 
 DeviceId = int
+
+# A world's numeric domain: a radius in [2**-511, 2**511] and field sides of
+# at most 2**511 keep radius*radius a normal float and every product of two
+# coordinate differences finite, so no distance test overflows or underflows.
+DOMAIN_LIMIT = 2.0 ** 511
 
 
 def edge_key(u: DeviceId, v: DeviceId) -> tuple[DeviceId, DeviceId]:
@@ -424,44 +429,41 @@ def _next_connector(adj: Sequence[tuple[int, ...]], hub: set[int], rest: set[int
 
 
 class World:
-    """What one network and one instance alone decide: `region`, the in-region
-    devices, and `reach`, made on first use: the hop distances from the
-    source, the targets (the in-region devices it reaches) and the furthest
-    target (most hops, then lowest id; None without targets)."""
+    """What one unit-disk graph and one instance value alone decide: `region`,
+    the in-region devices (given, when a world of the same region has them);
+    `qualified`, the `edge_qualifies` answers by edge key; and `reach`, made
+    on first use: the hop distances from the source, the targets (the
+    in-region devices it reaches) and the furthest target (most hops, then
+    lowest id; None without targets)."""
 
-    def __init__(self, net: Network, inst: "GeocastInstance"):
-        self.net, self.source = net, inst.source
-        self.region = frozenset(compress(range(net.n), map(inst.region.contains, net.positions)))
+    def __init__(self, net: Network, inst: "GeocastInstance", region: Optional[frozenset] = None):
+        self.net, self.inst, self.qualified = net, inst, {}
+        self.region = region_devices(net.positions, inst.region) if region is None else region
 
     @cached_property
     def reach(self) -> tuple[list[Optional[int]], frozenset, Optional[DeviceId]]:
-        hops = bfs_hops(self.net, self.source)
+        hops = bfs_hops(self.net, self.inst.source)
         targets = frozenset(d for d in self.region if hops[d] is not None)
         return hops, targets, max(targets, key=lambda d: (hops[d], -d), default=None)
+
+
+def region_devices(positions: Sequence[Point], region: Rect) -> frozenset:
+    """The devices whose positions lie in the closed region: one scan of all."""
+    return frozenset(compress(range(len(positions)), map(region.contains, positions)))
 
 
 @dataclass(frozen=True)
 class GeocastInstance:
     """One geocast request: source device, the target region, and the line
-    from the source's coordinates to the region center.
-
-    Two memos by network identity leave ==, hash and repr alone: `qualified`
-    holds `edge_qualifies` (edge key -> answer), `worlds` the `World`."""
+    from the source's coordinates to the region center."""
 
     source: DeviceId
     region: Rect
     center_line: Segment
-    qualified: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    worlds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def create(cls, source: DeviceId, point: Point, region: Rect) -> "GeocastInstance":
         return cls(source, region, Segment(point, region.center))
-
-    def world(self, net: Network) -> World:
-        if (w := self.worlds.get(net)) is None:
-            w = self.worlds[net] = World(net, self)
-        return w
 
 
 def local_faces(net: Network, d: DeviceId) -> list[tuple[DeviceId, DeviceId]]:
@@ -477,21 +479,20 @@ def local_faces(net: Network, d: DeviceId) -> list[tuple[DeviceId, DeviceId]]:
     return [(nbrs[i], nbrs[(i + 1) % k]) for i in range(k)]
 
 
-def edge_qualifies(net: Network, u: DeviceId, v: DeviceId, inst: GeocastInstance) -> bool:
+def edge_qualifies(world: World, u: DeviceId, v: DeviceId) -> bool:
     """True iff edge (u,v) meets the geocast region or the source-center line.
 
     Region membership is closed.  The line test ignores contact that happens
     only at the source point itself, otherwise every edge at the source would
     qualify spuriously; an edge pointing along the line past the source still
-    counts.  Memoised per instance; the test is symmetric in u and v.
+    counts.  Memoised in the world; the test is symmetric in u and v.
     """
-    memo = inst.qualified.get(net)
-    if memo is None:
-        memo = inst.qualified[net] = {}
+    memo = world.qualified
     key = edge_key(u, v)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = _edge_qualifies(net.positions[u], net.positions[v], inst)
+        pos = world.net.positions
+        hit = memo[key] = _edge_qualifies(pos[u], pos[v], world.inst)
     return hit
 
 
@@ -510,9 +511,9 @@ def _edge_qualifies(pu: Point, pv: Point, inst: GeocastInstance) -> bool:
     return segments_intersect(Segment(pu, pv), line)
 
 
-def wedge_qualifies(net: Network, d: DeviceId, wedge: tuple[DeviceId, DeviceId], inst: GeocastInstance) -> bool:
+def wedge_qualifies(world: World, d: DeviceId, wedge: tuple[DeviceId, DeviceId]) -> bool:
     u, w = wedge
-    return edge_qualifies(net, d, u, inst) or edge_qualifies(net, d, w, inst)
+    return edge_qualifies(world, d, u) or edge_qualifies(world, d, w)
 
 
 @dataclass(frozen=True)
@@ -557,14 +558,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         if key not in data:
             raise fail(key, "missing")
     radius = number("radius", data["radius"])
-    if radius <= 0:
-        raise fail("radius", "must be positive")
+    if not 1.0 / DOMAIN_LIMIT <= radius <= DOMAIN_LIMIT:
+        raise fail("radius", "must lie in [2**-511, 2**511]")
     field = data["field"]
     if not (isinstance(field, list) and len(field) == 2):
         raise fail("field", "expected [width, height]")
     fw, fh = (number("field", v) for v in field)
-    if fw <= 0 or fh <= 0:
-        raise fail("field", "dimensions must be positive")
+    if not (0 < fw <= DOMAIN_LIMIT and 0 < fh <= DOMAIN_LIMIT):
+        raise fail("field", "sides must lie in (0, 2**511]")
     devices = data["devices"]
     if not isinstance(devices, list) or not devices:
         raise fail("devices", "expected a non-empty list of [x, y] pairs")

@@ -19,6 +19,7 @@ from .netgraph import (
     DeviceId,
     GeocastInstance,
     Network,
+    World,
     local_faces,
     wedge_qualifies,
 )
@@ -31,10 +32,10 @@ GREEDY = "greedy"
 class Message:
     """One queued or in-flight message.  `dir` is L/R for planar mode, else None."""
 
-    __slots__ = ("mode", "dir", "sender", "receiver", "inst", "depth")
+    __slots__ = ("mode", "dir", "sender", "receiver", "world", "depth")
 
     def __init__(self, mode: str, dir: Optional[str], sender: DeviceId,
-                 receiver: DeviceId, inst: GeocastInstance, depth: int):
+                 receiver: DeviceId, world: World, depth: int):
         if sender == receiver:
             raise ValueError("a message cannot be addressed to its sender")
         if depth < 1:
@@ -43,7 +44,7 @@ class Message:
         self.dir = dir
         self.sender = sender
         self.receiver = receiver
-        self.inst = inst
+        self.world = world
         self.depth = depth
 
     def __repr__(self) -> str:  # debugging aid
@@ -59,12 +60,24 @@ class Mutations(NamedTuple):
     split: bool = False
 
 
-@dataclass(frozen=True)
 class RoutingNets:
-    """The graphs an algorithm routes on: full unit-disk and planar overlay."""
+    """A run's world: the graphs an algorithm routes on (`full` unit-disk and
+    `planar` overlay), `unit_disk`, the graph a run is measured on (`full`
+    itself unless it routes on a backbone), and `worlds`, the one `World` of
+    each instance value on `unit_disk`, made when first resolved."""
 
-    full: Network
-    planar: Network
+    def __init__(self, full: Network, planar: Network, unit_disk: Optional[Network] = None):
+        self.full, self.planar = full, planar
+        self.unit_disk = full if unit_disk is None else unit_disk
+        self.worlds: dict[GeocastInstance, World] = {}
+
+    def world(self, inst: GeocastInstance) -> World:
+        """The world of `inst`; a world of the same region lends it its
+        in-region set, so each region is scanned once."""
+        if (w := self.worlds.get(inst)) is None:
+            kin = next((k.region for k in self.worlds.values() if k.inst.region == inst.region), None)
+            w = self.worlds[inst] = World(self.unit_disk, inst, kin)
+        return w
 
 
 def opposite(direction: str) -> str:
@@ -72,45 +85,40 @@ def opposite(direction: str) -> str:
 
 
 def mate_matches(m1: Message, m2: Message) -> bool:
-    """Mates: same instance, each one's sender is the other's receiver, and
+    """Mates: same world, each one's sender is the other's receiver, and
     either both flood or both planar with opposite traversal directions."""
-    if m1.sender != m2.receiver or m1.receiver != m2.sender or m1.mode != m2.mode:
-        return False
-    if m1.inst is not m2.inst and m1.inst != m2.inst:
+    if (m1.sender != m2.receiver or m1.receiver != m2.sender or m1.mode != m2.mode
+            or m1.world is not m2.world):
         return False
     return m1.mode == FLOOD or (m1.mode == PLANAR and m1.dir != m2.dir)
 
 
-def _in_region(nets: RoutingNets, inst: GeocastInstance, d: DeviceId) -> bool:
-    return d in inst.world(nets.full).region
-
-
 # --- stateless flooding -----------------------------------------------------
 
-def sf_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
-    src = inst.source
-    return [Message(FLOOD, None, src, u, inst, 1) for u in nets.full.adjacency[src]]
+def sf_initiate(nets: RoutingNets, world: World) -> list:
+    src = world.inst.source
+    return [Message(FLOOD, None, src, u, world, 1) for u in nets.full.adjacency[src]]
 
 
 def sf_handle(nets: RoutingNets, d: DeviceId, m: Message,
               split_done: bool = False) -> Mutations:
-    return Mutations([Message(FLOOD, None, d, u, m.inst, m.depth + 1)
+    return Mutations([Message(FLOOD, None, d, u, m.world, m.depth + 1)
                       for u in nets.full.adjacency[d] if u != m.sender])
 
 
 # --- planar geocast ---------------------------------------------------------
 
 def _pair_into_wedge(d: DeviceId, wedge: tuple[DeviceId, DeviceId],
-                     inst: GeocastInstance, depth: int) -> list:
+                     world: World, depth: int) -> list:
     # Into wedge (u, w) with w the ccw successor of u: the left-hand message
     # goes to w and the right-hand message to u, so both traverse the face
     # spanned by the wedge, in opposite directions.
     u, w = wedge
-    return [Message(PLANAR, LEFT, d, w, inst, depth),
-            Message(PLANAR, RIGHT, d, u, inst, depth)]
+    return [Message(PLANAR, LEFT, d, w, world, depth),
+            Message(PLANAR, RIGHT, d, u, world, depth)]
 
 
-def _bracketing_wedge(net: Network, at: DeviceId, inst: GeocastInstance) -> Optional[tuple[DeviceId, DeviceId]]:
+def _bracketing_wedge(net: Network, at: DeviceId, world: World) -> Optional[tuple[DeviceId, DeviceId]]:
     """The wedge at `at` containing the direction toward the region center.
 
     With the device exactly at the center the direction is undefined; fall
@@ -121,10 +129,10 @@ def _bracketing_wedge(net: Network, at: DeviceId, inst: GeocastInstance) -> Opti
     if not wedges:
         return None
     pos = net.positions
-    center = inst.region.center
+    center = world.inst.region.center
     if pos[at] == center:
         for wedge in wedges:
-            if wedge_qualifies(net, at, wedge, inst):
+            if wedge_qualifies(world, at, wedge):
                 return wedge
         return wedges[0]
     for wedge in wedges:
@@ -133,11 +141,11 @@ def _bracketing_wedge(net: Network, at: DeviceId, inst: GeocastInstance) -> Opti
     return wedges[0]  # unreachable: wedges cover the full angle
 
 
-def spg_initiate(nets: RoutingNets, inst: GeocastInstance, depth: int = 1) -> list:
-    wedge = _bracketing_wedge(nets.planar, inst.source, inst)
+def spg_initiate(nets: RoutingNets, world: World, depth: int = 1) -> list:
+    wedge = _bracketing_wedge(nets.planar, world.inst.source, world)
     if wedge is None:
         return []
-    return _pair_into_wedge(inst.source, wedge, inst, depth)
+    return _pair_into_wedge(world.inst.source, wedge, world, depth)
 
 
 def continuation(net: Network, d: DeviceId, sender: DeviceId,
@@ -161,42 +169,43 @@ def spg_handle(nets: RoutingNets, d: DeviceId, m: Message,
     nxt, current = continuation(net, d, m.sender, m.dir)
     sends: list = []
     split = False
-    if not split_done and wedge_qualifies(net, d, current, m.inst):
+    world = m.world
+    if not split_done and wedge_qualifies(world, d, current):
         split = True
         for wedge in local_faces(net, d):
-            if wedge != current and wedge_qualifies(net, d, wedge, m.inst):
-                sends.extend(_pair_into_wedge(d, wedge, m.inst, m.depth + 1))
-    sends.append(Message(PLANAR, m.dir, d, nxt, m.inst, m.depth + 1))
+            if wedge != current and wedge_qualifies(world, d, wedge):
+                sends.extend(_pair_into_wedge(d, wedge, world, m.depth + 1))
+    sends.append(Message(PLANAR, m.dir, d, nxt, world, m.depth + 1))
     return Mutations(sends, split)
 
 
 # --- flood inside the region, planar outside --------------------------------
 
-def _region_burst(nets: RoutingNets, inst: GeocastInstance, d: DeviceId,
+def _region_burst(nets: RoutingNets, world: World, d: DeviceId,
                   exclude: Optional[DeviceId], depth: int) -> list:
     """One flood message per in-region neighbor and one L/R pair per
     out-of-region planar neighbor, skipping `exclude`."""
-    region = inst.world(nets.full).region
+    region = world.region
     sends: list = []
     for u in nets.full.adjacency[d]:
         if u != exclude and u in region:
-            sends.append(Message(FLOOD, None, d, u, inst, depth))
+            sends.append(Message(FLOOD, None, d, u, world, depth))
     for u in nets.planar.adjacency[d]:
         if u != exclude and u not in region:
-            sends.append(Message(PLANAR, LEFT, d, u, inst, depth))
-            sends.append(Message(PLANAR, RIGHT, d, u, inst, depth))
+            sends.append(Message(PLANAR, LEFT, d, u, world, depth))
+            sends.append(Message(PLANAR, RIGHT, d, u, world, depth))
     return sends
 
 
-def combined_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
-    if _in_region(nets, inst, inst.source):
-        return _region_burst(nets, inst, inst.source, None, 1)
-    return spg_initiate(nets, inst)
+def combined_initiate(nets: RoutingNets, world: World) -> list:
+    if (src := world.inst.source) in world.region:
+        return _region_burst(nets, world, src, None, 1)
+    return spg_initiate(nets, world)
 
 
 def combined_handle(nets: RoutingNets, d: DeviceId, m: Message,
                     split_done: bool = False) -> Mutations:
-    if not _in_region(nets, inst := m.inst, d):
+    if d not in (world := m.world).region:
         return spg_handle(nets, d, m, split_done)
     if split_done:
         return Mutations([])  # the burst is one-shot, like the face split
@@ -204,20 +213,20 @@ def combined_handle(nets: RoutingNets, d: DeviceId, m: Message,
     # flanking its arrival edge are explored via a pair to the sender; flood
     # and planar arrivals keep the sender exclusion
     exclude = None if m.mode == GREEDY else m.sender
-    sends = _region_burst(nets, inst, d, exclude, m.depth + 1)
+    sends = _region_burst(nets, world, d, exclude, m.depth + 1)
     if m.mode == PLANAR:
         # reply with the exact mate of the arrival: the sender-side traversal annihilates
-        sends.append(Message(PLANAR, opposite(m.dir), d, m.sender, inst, m.depth + 1))
+        sends.append(Message(PLANAR, opposite(m.dir), d, m.sender, world, m.depth + 1))
     return Mutations(sends, True)
 
 
 # --- greedy approach, then the combined algorithm ---------------------------
 
-def _closest_to_center(nets: RoutingNets, inst: GeocastInstance, d: DeviceId) -> Optional[DeviceId]:
+def _closest_to_center(nets: RoutingNets, world: World, d: DeviceId) -> Optional[DeviceId]:
     # greedy forwards on the planar overlay, like the rest of the planar
     # machinery it switches into
     net = nets.planar
-    center = inst.region.center
+    center = world.inst.region.center
     here = dist2(net.positions[d], center)
     best: Optional[DeviceId] = None
     best_d2 = here
@@ -229,38 +238,39 @@ def _closest_to_center(nets: RoutingNets, inst: GeocastInstance, d: DeviceId) ->
     return best  # None means local minimum (ties count as no progress)
 
 
-def greedy_initiate(nets: RoutingNets, inst: GeocastInstance) -> list:
-    src = inst.source
-    if _in_region(nets, inst, src):
-        return combined_initiate(nets, inst)
-    target = _closest_to_center(nets, inst, src)
+def greedy_initiate(nets: RoutingNets, world: World) -> list:
+    src = world.inst.source
+    if src in world.region:
+        return combined_initiate(nets, world)
+    target = _closest_to_center(nets, world, src)
     if target is not None:
-        return [Message(GREEDY, None, src, target, inst, 1)]
-    return spg_initiate(nets, inst)
+        return [Message(GREEDY, None, src, target, world, 1)]
+    return spg_initiate(nets, world)
 
 
 def greedy_handle(nets: RoutingNets, d: DeviceId, m: Message,
                   split_done: bool = False) -> Mutations:
     if m.mode != GREEDY:
         return combined_handle(nets, d, m, split_done)
-    if _in_region(nets, m.inst, d):
+    world = m.world
+    if d in world.region:
         # the greedy phase ends here: re-anchor the guide line at the switch
         # device, then apply the in-region rule
-        anchored = GeocastInstance.create(d, nets.full.positions[d], m.inst.region)
+        anchored = nets.world(GeocastInstance.create(d, nets.full.positions[d], world.inst.region))
         handoff = Message(GREEDY, None, m.sender, d, anchored, m.depth)
         return combined_handle(nets, d, handoff, split_done)
-    target = _closest_to_center(nets, m.inst, d)
+    target = _closest_to_center(nets, world, d)
     if target is not None:
-        return Mutations([Message(GREEDY, None, d, target, m.inst, m.depth + 1)])
+        return Mutations([Message(GREEDY, None, d, target, world, m.depth + 1)])
     # local minimum: the other switch point, re-anchored the same way
-    anchored = GeocastInstance.create(d, nets.full.positions[d], m.inst.region)
+    anchored = nets.world(GeocastInstance.create(d, nets.full.positions[d], world.inst.region))
     return Mutations(spg_initiate(nets, anchored, depth=m.depth + 1))
 
 
 @dataclass(frozen=True)
 class Algorithm:
     name: str
-    initiate: Callable[[RoutingNets, GeocastInstance], list]
+    initiate: Callable[[RoutingNets, World], list]
     handle: Callable[..., Mutations]
 
 

@@ -19,6 +19,7 @@ from geocastsim.netgraph import (
     GeocastInstance,
     Network,
     Scenario,
+    World,
     bfs_hops,
     build_unit_disk,
     connected_components,
@@ -184,12 +185,13 @@ def is_juncture(net: Network, d: int, inst: GeocastInstance) -> bool:
     the source-center line."""
     if inst.region.contains(net.positions[d]):
         return True
-    return any(edge_qualifies(net, d, u, inst) for u in net.adjacency[d])
+    world = World(net, inst)
+    return any(edge_qualifies(world, d, u) for u in net.adjacency[d])
 
 
 def reference_edge_qualifies(net: Network, u: int, v: int, inst: GeocastInstance) -> bool:
     """`edge_qualifies` as it was before the bounding-box rejects and the
-    per-instance memo: every call runs the full segment tests."""
+    memo: every call runs the full segment tests."""
     pu, pv = net.positions[u], net.positions[v]
     if reference_segment_intersects_rect(Segment(pu, pv), inst.region):
         return True

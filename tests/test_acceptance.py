@@ -85,7 +85,7 @@ def test_criterion_2_flood_latency_optimal(corpus, flood_runs):
         if any(depth != hops[d] for d, depth in state.arrival.items()):
             violations += 1
             continue
-        metrics = compute_metrics(state, bundle.nets.full, scenario.instance())
+        metrics = compute_metrics(state, bundle.nets, scenario.instance())
         if metrics.path_stretch is not None and metrics.path_stretch != 1.0:
             violations += 1
     report(2, violations == 0,
@@ -155,7 +155,7 @@ def _trend_point(density=7.0, region=3.0, field=10.0, algorithms=("sf",), trials
         scenario = gen_scenario(cfg, trial)
         bundle = build_nets(scenario)
         for alg in algorithms:
-            m = run_trial(scenario, alg, bundle, scenario.instance())
+            m = run_trial(scenario, alg, bundle)
             assert m is not None, f"unexpected fault: {alg} trial {trial}"
             collected[alg]["cost"].append(float(m.message_cost))
             if m.normalized_cost is not None:

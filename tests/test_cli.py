@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -166,6 +167,59 @@ class TestRun:
 
     def test_backbone_flag_runs(self, path_scenario):
         assert main(["run", "--scenario", path_scenario, "--cds"]) == 0
+
+
+BIG, TINY = 2.0 ** 511, 2.0 ** -511
+
+
+def world(radius, field, devices, region):
+    return {"radius": radius, "field": field, "devices": devices, "source": 0,
+            "region": region, "seed": 0}
+
+
+class TestNumericDomain:
+    """A world can be simulated when radius*radius is a normal float and every
+    product of two coordinate differences is finite: a radius in
+    [2**-511, 2**511] and field sides of at most 2**511.  Files outside exit 1,
+    naming the field; files inside run with no overflow."""
+
+    def run(self, tmp_path, capsys, data, alg="sf"):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--scenario", str(path), "--alg", alg])
+        out, err = capsys.readouterr()
+        assert caught == [] and "Traceback" not in err and "Warning" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize("data, field", [
+        # r*r and dx*dx + dy*dy both overflowed to inf, which linked this pair:
+        # it ran to delivered=2/2 with an overflow warning
+        (world(1e308, [1e308, 1e308], [[0.0, 0.0], [1e308, 1e308]], [0, 0, 1e308, 1e308]), "radius"),
+        (world(2.0 ** -512, [1.0, 1.0], [[0.0, 0.0], [TINY, 0.0]], [0, 0, 1, 1]), "radius"),
+        (world(2.0 ** 512, [1.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], [0, 0, 1, 1]), "radius"),
+        (world(1.0, [2.0 ** 512, 1.0], [[0.0, 0.0], [1.0, 0.0]], [0, 0, 1, 1]), "field"),
+    ], ids=["overflowing-world", "radius-2^-512", "radius-2^512", "field-2^512"])
+    def test_outside_the_domain_exits_one(self, tmp_path, capsys, data, field):
+        code, out, err = self.run(tmp_path, capsys, data)
+        assert code == 1 and out == "" and f"'{field}'" in err
+
+    @pytest.mark.parametrize("data, line", [
+        # device 2 is one radius from device 1 and sqrt(2) radii from device 0
+        (world(BIG, [BIG, BIG], [[0.0, 0.0], [BIG, 0.0], [BIG, BIG]], [0, 0, BIG, BIG]),
+         "cost=2 latency=2 stretch=1.0 delivered=3/3"),
+        (world(TINY, [1.0, 1.0], [[0.0, 0.0], [TINY, 0.0], [TINY, TINY]], [0, 0, 1, 1]),
+         "cost=2 latency=2 stretch=1.0 delivered=3/3"),
+        (world(1.0, [BIG, BIG], [[0.0, 0.0], [1.0, 0.0], [BIG, BIG]], [0, 0, 2, 2]),
+         "cost=1 latency=1 stretch=1.0 delivered=2/2"),
+    ], ids=["radius-2^511", "radius-2^-511", "field-2^511"])
+    def test_boundary_worlds_run(self, tmp_path, capsys, data, line):
+        for alg in ("sf", "spg", "sf-spg", "sf-spg-g"):
+            code, out, _ = self.run(tmp_path, capsys, data, alg)
+            assert code == 0
+            if alg == "sf":
+                assert out.strip() == line
 
 
 class TestSweep:

@@ -18,6 +18,7 @@ from geocastsim.engine import (
     replay,
     run,
 )
+from geocastsim import netgraph
 from geocastsim.cli import main
 from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario, run_trial
 from geocastsim.export import read_trace, used_edges_from_trace, write_trace
@@ -30,7 +31,7 @@ from geocastsim.netgraph import (
     gabriel_subgraph,
     save_scenario,
 )
-from geocastsim.protocol import ALGORITHMS, RoutingNets
+from geocastsim.protocol import ALGORITHMS, FLOOD, Message, RoutingNets, mate_matches
 
 FAR_REGION = Rect.from_bounds(50.0, 50.0, 51.0, 51.0)
 
@@ -212,59 +213,110 @@ class TestDeterminismAndConservation:
         assert digest.hexdigest() == ACCEPTANCE_TRANSCRIPTS_SHA256
 
 
-def world_answers(inst: GeocastInstance, net) -> tuple:
-    """Everything the instance's memos answer on `net`: the world values and
-    the qualification of every edge."""
-    world = inst.world(net)
-    return world.region, world.reach, {e: edge_qualifies(net, *e, inst) for e in net.edges()}
+def world_answers(nets: RoutingNets, inst: GeocastInstance) -> tuple:
+    """Everything a routing value's world of `inst` answers: the world values
+    and the qualification of every unit-disk edge."""
+    world = nets.world(inst)
+    return world.region, world.reach, {e: edge_qualifies(world, *e) for e in nets.unit_disk.edges()}
+
+
+def fresh(nets: RoutingNets) -> RoutingNets:
+    """The same graphs behind a routing value with no world made yet."""
+    return RoutingNets(nets.full, nets.planar, nets.unit_disk)
 
 
 class TestWorldMemo:
-    """One instance may serve several networks; each network gets exactly
-    what a fresh instance of the same value gives on it."""
+    """One routing value may serve several instances; each gets exactly what
+    a fresh routing value on the same graphs gives it."""
 
-    def test_backbone_graph_then_unit_disk_graph(self):
+    @pytest.mark.parametrize("cds", [False, True])
+    def test_several_instances_on_one_routing_value(self, cds):
         sc = gen_scenario(ExperimentConfig(seed=3), 0)
-        bundle = build_nets(sc, cds=True)
-        shared = sc.instance()
-        restricted = world_answers(shared, bundle.nets.full)
-        full = world_answers(shared, bundle.full)
-        assert restricted == world_answers(sc.instance(), bundle.nets.full)
-        assert full == world_answers(sc.instance(), bundle.full)
-        assert set(shared.worlds) == {bundle.nets.full, bundle.full}
-        # the backbone reaches fewer devices, so the two worlds differ
-        hops = [shared.world(net).reach[0] for net in (bundle.nets.full, bundle.full)]
-        assert hops[0].count(None) > hops[1].count(None)
+        nets = build_nets(sc, cds=cds).nets
+        corner = Rect.from_bounds(0.0, 0.0, 2.0, 2.0)
+        insts = [sc.instance(), GeocastInstance.create(sc.source, sc.devices[sc.source], corner)]
+        # re-anchorings, as sf-spg-g makes them: same region, another source
+        insts += [GeocastInstance.create(d, sc.devices[d], sc.region)
+                  for d in range(0, len(sc.devices), 40)]
+        answers = [world_answers(nets, inst) for inst in insts]
+        assert answers == [world_answers(fresh(nets), inst) for inst in insts]
+        assert len(nets.worlds) == len(set(insts))
+        assert all(nets.world(inst).region is nets.world(insts[0]).region for inst in insts[2:])
 
-    def test_two_scenarios_graphs(self):
+    def test_two_scenarios_never_share_a_world(self):
         cfg = ExperimentConfig(seed=5)
         first, second = gen_scenario(cfg, 0), gen_scenario(cfg, 1)
         assert len(first.devices) == len(second.devices)
-        shared = first.instance()
-        answers = []
-        for sc in (first, second):
-            net = build_nets(sc).nets.planar
-            answers.append(world_answers(shared, net))
-            assert answers[-1] == world_answers(first.instance(), net)
+        inst = first.instance()
+        both = [build_nets(sc).nets for sc in (first, second)]
+        assert both[0].world(inst) is not both[1].world(inst)
+        answers = [world_answers(nets, inst) for nets in both]
         assert answers[0] != answers[1]
+        assert answers == [world_answers(fresh(nets), inst) for nets in both]
+
+    def test_backbone_world_is_built_on_the_unit_disk_graph(self):
+        sc = gen_scenario(ExperimentConfig(seed=3), 0)
+        bundle = build_nets(sc, cds=True)
+        world = bundle.nets.world(sc.instance())
+        assert world.net is bundle.nets.unit_disk and world.net is not bundle.nets.full
+        # reach extends past the backbone, which alone reaches fewer devices
+        hops = world.reach[0]
+        assert hops == bfs_hops(bundle.nets.unit_disk, sc.source)
+        assert hops.count(None) < bfs_hops(bundle.nets.full, sc.source).count(None)
+        assert any(hops[d] is not None for d in range(len(hops)) if d not in bundle.backbone)
+
+    def test_instance_is_a_plain_value(self):
+        sc = gen_scenario(ExperimentConfig(seed=3), 0)
+        nets = build_nets(sc).nets
+        a, b = sc.instance(), sc.instance()
+        assert [f.name for f in dataclasses.fields(GeocastInstance)] == ["source", "region", "center_line"]
+        assert a == b and a is not b
+        assert nets.world(a) is nets.world(b)
+        assert mate_matches(Message(FLOOD, None, 0, 1, nets.world(a), 1),
+                            Message(FLOOD, None, 1, 0, nets.world(b), 1))
 
     @pytest.mark.parametrize("cds", [False, True])
-    def test_shared_instance_measures_like_fresh_ones(self, cds):
+    def test_shared_routing_value_measures_like_fresh_ones(self, cds):
         cfg = ExperimentConfig(seed=8, field_side=8.0, region_side=3.0)
         for trial in range(10):
             sc = gen_scenario(cfg, trial)
             bundle = build_nets(sc, cds=cds)
-            shared = sc.instance()
             for alg in ALGORITHMS:
                 for policy in POLICIES:
+                    unshared = fresh(bundle.nets)
                     (state, metrics), (fresh_state, fresh_metrics) = (
-                        run(bundle.nets, inst, alg, policy, sc.seed,
-                            net_full=bundle.full, backbone=bundle.backbone)
-                        for inst in (shared, sc.instance()))
+                        run(nets, sc.instance(), alg, policy, sc.seed, backbone=bundle.backbone)
+                        for nets in (bundle.nets, unshared))
                     assert metrics == fresh_metrics
                     assert state.transcript == fresh_state.transcript
-                    assert compute_metrics(state, bundle.full, shared) == \
-                        compute_metrics(state, bundle.full, sc.instance())
+                    assert compute_metrics(state, bundle.nets, sc.instance()) == \
+                        compute_metrics(state, unshared, sc.instance())
+
+    @pytest.mark.parametrize("cds", [False, True])
+    def test_worlds_are_resolved_per_run_not_per_step(self, monkeypatch, cds):
+        # sf-spg-g at field 40 (seed 1, trial 0) re-anchors once.  A world is
+        # resolved at the start, at the re-anchoring, in the backbone
+        # epilogue and in the metrics; the region is scanned once.
+        sc = gen_scenario(ExperimentConfig(seed=1, field_side=40.0), 0)
+        bundle = build_nets(sc, cds=cds)
+        scan, resolve = netgraph.region_devices, RoutingNets.world
+        scans, resolved = [], []
+
+        def counting_scan(positions, region):
+            scans.append(region)
+            return scan(positions, region)
+
+        def counting_resolve(nets, inst):
+            resolved.append(inst)
+            return resolve(nets, inst)
+
+        monkeypatch.setattr(netgraph, "region_devices", counting_scan)
+        monkeypatch.setattr(RoutingNets, "world", counting_resolve)
+        state, _ = run(bundle.nets, sc.instance(), "sf-spg-g", seed=sc.seed, backbone=bundle.backbone)
+        assert len(bundle.nets.worlds) == 2  # the instance and its re-anchoring
+        assert scans == [sc.region]
+        assert len(resolved) == (4 if cds else 3)
+        assert state.steps > 100
 
 
 class TestRetainedMemory:
@@ -375,11 +427,11 @@ class TestBackboneDelivery:
         # pretend device 2 was outside the backbone and never routed to
         state.arrival.pop(2)
         before = state.steps
-        extra = deliver_dominated(state, full, inst, backbone={0, 1})
+        extra = deliver_dominated(state, nets, inst, backbone={0, 1})
         assert extra == 1
         assert state.arrival[2] == state.arrival[1] + 1
         assert state.steps == before + 1
-        metrics = compute_metrics(state, full, inst)
+        metrics = compute_metrics(state, nets, inst)
         assert metrics.delivery_rate == 1.0
 
     @pytest.mark.parametrize("trial", [0, 1, 2])
@@ -389,9 +441,9 @@ class TestBackboneDelivery:
         sc = gen_scenario(ExperimentConfig(seed=3), trial)
         bundle = build_nets(sc, cds=True)
         state, metrics = run(bundle.nets, sc.instance(), algorithm, seed=sc.seed,
-                             net_full=bundle.full, backbone=bundle.backbone)
+                             backbone=bundle.backbone)
         assert metrics.delivery_rate in (None, 1.0)
-        assert metrics == run_trial(sc, algorithm, build_nets(sc, cds=True), sc.instance())
+        assert metrics == run_trial(sc, algorithm, build_nets(sc, cds=True))
 
         path, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
         save_scenario(sc, str(path))
@@ -405,8 +457,9 @@ class TestBackboneDelivery:
     def test_backbone_run_without_full_graph_rejected(self):
         sc = gen_scenario(ExperimentConfig(seed=3), 0)
         bundle = build_nets(sc, cds=True)
-        with pytest.raises(ValueError, match="net_full"):
-            run(bundle.nets, sc.instance(), "sf-spg", backbone=bundle.backbone)
+        restricted = RoutingNets(bundle.nets.full, bundle.nets.planar)
+        with pytest.raises(ValueError, match="unit_disk"):
+            run(restricted, sc.instance(), "sf-spg", backbone=bundle.backbone)
 
     def test_backbone_run_reaches_the_region_beyond_the_backbone(self):
         # seed 3, trial 0: routing on the backbone alone covers 6 of the
@@ -414,6 +467,6 @@ class TestBackboneDelivery:
         sc = gen_scenario(ExperimentConfig(seed=3), 0)
         bundle = build_nets(sc, cds=True)
         _, metrics = run(bundle.nets, sc.instance(), "sf-spg", seed=sc.seed,
-                         net_full=bundle.full, backbone=bundle.backbone)
+                         backbone=bundle.backbone)
         assert (metrics.message_cost, len(metrics.region_covered), metrics.target_count) \
             == (284, 17, 17)

@@ -127,7 +127,7 @@ class TestRunTrial:
         cfg = ExperimentConfig(field_side=6.0, density=6.0, trials=1, seed=14)
         for t in range(6):
             sc = gen_scenario(cfg, t)
-            res = run_trial(sc, "sf", build_nets(sc), sc.instance())
+            res = run_trial(sc, "sf", build_nets(sc))
             assert res is not None
             assert res.message_cost == brute_force_component_edges(sc)
 
@@ -136,7 +136,7 @@ class TestRunTrial:
                                trials=1, seed=15)
         for t in range(6):
             sc = gen_scenario(cfg, t)
-            res = run_trial(sc, "sf", build_nets(sc), sc.instance())
+            res = run_trial(sc, "sf", build_nets(sc))
             assert res.path_stretch in (None, 1.0)
 
     def test_planar_coverage_matches_flood_on_planar_component(self):
@@ -145,8 +145,8 @@ class TestRunTrial:
         for t in range(6):
             sc = gen_scenario(cfg, t)
             bundle = build_nets(sc)
-            flood = run_trial(sc, "sf", bundle, sc.instance())
-            planar = run_trial(sc, "spg", bundle, sc.instance())
+            flood = run_trial(sc, "sf", bundle)
+            planar = run_trial(sc, "spg", bundle)
             pcomp = component_of(bundle.nets.planar, sc.source)
             expected = flood.region_covered & frozenset(pcomp)
             assert planar.region_covered == expected
@@ -157,8 +157,8 @@ class TestRunTrial:
         for t in range(6):
             sc = gen_scenario(cfg, t)
             bundle = build_nets(sc)
-            flood = run_trial(sc, "sf", bundle, sc.instance())
-            combined = run_trial(sc, "sf-spg", bundle, sc.instance())
+            flood = run_trial(sc, "sf", bundle)
+            combined = run_trial(sc, "sf-spg", bundle)
             assert combined.region_covered == flood.region_covered
 
     def test_planar_cost_within_double_planar_edges(self):
@@ -166,7 +166,7 @@ class TestRunTrial:
         for t in range(6):
             sc = gen_scenario(cfg, t)
             bundle = build_nets(sc)
-            res = run_trial(sc, "spg", bundle, sc.instance())
+            res = run_trial(sc, "spg", bundle)
             pcomp = component_of(bundle.nets.planar, sc.source)
             pe = sum(1 for u, v in bundle.nets.planar.edges() if u in pcomp)
             assert res.message_cost <= 2 * pe
@@ -177,7 +177,7 @@ class TestRunTrial:
         for t in range(5):
             sc = gen_scenario(cfg, t)
             for alg in ("sf", "spg", "sf-spg"):
-                res = run_trial(sc, alg, build_nets(sc, cds=True), sc.instance())
+                res = run_trial(sc, alg, build_nets(sc, cds=True))
                 assert res is not None
                 assert res.delivery_rate in (None, 1.0)
 
@@ -211,9 +211,9 @@ class TestSweep:
         assert rows[0].mean_cost < rows[1].mean_cost
 
     def test_world_work_runs_once_per_trial(self, monkeypatch):
-        # one instance per trial: its four algorithms share one BFS and one
-        # answer per undirected edge (an sf-spg-g re-anchoring is another
-        # instance, by value too, with answers of its own)
+        # one routing value per trial: its four algorithms share one BFS and
+        # one answer per undirected edge (an sf-spg-g re-anchoring is another
+        # instance value, with a world and answers of its own)
         bfs, qualifies = netgraph.bfs_hops, netgraph._edge_qualifies
         sources: list = []
         evaluations: Counter = Counter()

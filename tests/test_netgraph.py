@@ -29,6 +29,7 @@ from geocastsim.netgraph import (
     Network,
     Scenario,
     ScenarioFormatError,
+    World,
     bfs_hops,
     build_unit_disk,
     cds_backbone,
@@ -42,7 +43,7 @@ from geocastsim.netgraph import (
     scenario_to_dict,
     wedge_qualifies,
 )
-from geocastsim.protocol import FLOOD, Message, continuation, mate_matches
+from geocastsim.protocol import continuation
 
 
 def random_points(rng, n, side):
@@ -588,8 +589,8 @@ class TestJunctures:
     def test_source_endpoint_contact_does_not_qualify(self):
         net, inst = self.make()
         # both of the source's edges touch the guide line only at the source
-        assert not edge_qualifies(net, 0, 1, inst)
-        assert not edge_qualifies(net, 0, 2, inst)
+        assert not edge_qualifies(World(net, inst), 0, 1)
+        assert not edge_qualifies(World(net, inst), 0, 2)
         assert not is_juncture(net, 0, inst)
 
     def test_collinear_edge_past_source_qualifies(self):
@@ -597,7 +598,7 @@ class TestJunctures:
         net = from_edges(pts, [(0, 1)], radius=1.0)
         # region center (4.5, 0) sits on the ray the edge points along
         inst = GeocastInstance.create(0, pts[0], Rect.from_bounds(4.0, -0.5, 5.0, 0.5))
-        assert edge_qualifies(net, 0, 1, inst)
+        assert edge_qualifies(World(net, inst), 0, 1)
 
     def test_juncture_iff_some_wedge_qualifies(self):
         rng = np.random.default_rng(43)
@@ -607,10 +608,11 @@ class TestJunctures:
             src = int(rng.integers(40))
             region = Rect.from_bounds(1.0, 1.0, 2.0, 2.0)
             inst = GeocastInstance.create(src, pts[src], region)
+            world = World(net, inst)
             for d in range(net.n):
                 if net.degree(d) == 0:
                     continue
-                wedge_any = any(wedge_qualifies(net, d, w, inst) for w in local_faces(net, d))
+                wedge_any = any(wedge_qualifies(world, d, w) for w in local_faces(net, d))
                 assert wedge_any == is_juncture(net, d, inst)
 
     def test_degenerate_line_uses_region_only(self):
@@ -618,8 +620,8 @@ class TestJunctures:
         net = from_edges(pts, [(0, 1), (1, 2)], radius=1.1)
         inst = GeocastInstance.create(0, pts[0], self.region)  # source at center
         assert inst.center_line.degenerate
-        assert edge_qualifies(net, 0, 1, inst)      # endpoint inside the region
-        assert not edge_qualifies(net, 1, 2, inst)  # far from region, line inert
+        assert edge_qualifies(World(net, inst), 0, 1)      # endpoint inside the region
+        assert not edge_qualifies(World(net, inst), 1, 2)  # far from region, line inert
 
 
 def edge_net(pu, pv) -> Network:
@@ -646,10 +648,11 @@ class TestQualificationOracle:
                 net = build_nets(sc, cds=cds).nets.planar
                 edges = list(net.edges())
                 inst = sc.instance()
+                world = World(net, inst)
                 for u, v in edges:
                     want = reference_edge_qualifies(net, u, v, inst)
                     assert reference_edge_qualifies(net, v, u, inst) == want
-                    assert edge_qualifies(net, u, v, inst) == edge_qualifies(net, v, u, inst) == want
+                    assert edge_qualifies(world, u, v) == edge_qualifies(world, v, u) == want
                 if seed or trial:
                     continue
                 # sf-spg-g re-anchors the guide line at the device where
@@ -658,8 +661,9 @@ class TestQualificationOracle:
                 stride = max(1, len(anchors) * len(edges) // self.ANCHOR_BUDGET)
                 for d in anchors[::stride]:
                     anchored = GeocastInstance.create(d, net.positions[d], sc.region)
+                    world = World(net, anchored)
                     for u, v in edges:
-                        assert edge_qualifies(net, u, v, anchored) == reference_edge_qualifies(
+                        assert edge_qualifies(world, u, v) == reference_edge_qualifies(
                             net, u, v, anchored), (d, u, v)
 
     @pytest.mark.parametrize("pu, pv, expected", [
@@ -684,7 +688,7 @@ class TestQualificationOracle:
         for a, b in ((pu, pv), (pv, pu)):
             net = edge_net(a, b)
             assert reference_edge_qualifies(net, 0, 1, inst) == expected
-            assert edge_qualifies(net, 0, 1, inst) == expected
+            assert edge_qualifies(World(net, inst), 0, 1) == expected
 
     @settings(max_examples=400)
     @given(near_tie_points, near_tie_points, near_tie_points, near_tie_points, near_tie_points)
@@ -692,7 +696,7 @@ class TestQualificationOracle:
         region = Rect.from_bounds(min(lo.x, hi.x), min(lo.y, hi.y), max(lo.x, hi.x), max(lo.y, hi.y))
         inst = GeocastInstance.create(0, source, region)
         net = edge_net(pu, pv)
-        assert edge_qualifies(net, 0, 1, inst) == reference_edge_qualifies(net, 0, 1, inst)
+        assert edge_qualifies(World(net, inst), 0, 1) == reference_edge_qualifies(net, 0, 1, inst)
 
 
 class TestQualificationMemo:
@@ -701,32 +705,20 @@ class TestQualificationMemo:
     def inst(self) -> GeocastInstance:
         return GeocastInstance.create(0, P(0, 0), self.region)
 
-    def test_each_network_gets_its_own_answers(self):
+    def test_each_world_gets_its_own_answers(self):
         inst = self.inst()
-        near = edge_net(P(3, 0.5), P(4.5, 0.5))
-        far = edge_net(P(3, 2), P(4, 3))
-        assert edge_qualifies(near, 0, 1, inst)
-        assert not edge_qualifies(far, 0, 1, inst)
-        assert edge_qualifies(near, 1, 0, inst)
-        assert set(inst.qualified) == {near, far}
+        near = World(edge_net(P(3, 0.5), P(4.5, 0.5)), inst)
+        far = World(edge_net(P(3, 2), P(4, 3)), inst)
+        assert edge_qualifies(near, 0, 1)
+        assert not edge_qualifies(far, 0, 1)
+        assert edge_qualifies(near, 1, 0)
+        assert (near.qualified, far.qualified) == ({(0, 1): True}, {(0, 1): False})
 
     def test_one_entry_per_undirected_edge(self):
-        inst = self.inst()
-        net = edge_net(P(3, 0.5), P(4.5, 0.5))
-        edge_qualifies(net, 1, 0, inst)
-        edge_qualifies(net, 0, 1, inst)
-        assert inst.qualified == {net: {(0, 1): True}}
-
-    def test_filled_memo_leaves_the_value_alone(self):
-        filled, fresh = self.inst(), self.inst()
-        net = edge_net(P(3, 0.5), P(4.5, 0.5))
-        edge_qualifies(net, 0, 1, filled)
-        assert filled.qualified and not fresh.qualified
-        assert filled == fresh
-        assert hash(filled) == hash(fresh)
-        assert repr(filled) == repr(fresh)
-        assert "qualified" not in repr(filled)
-        assert mate_matches(Message(FLOOD, None, 0, 1, filled, 1), Message(FLOOD, None, 1, 0, fresh, 1))
+        world = World(edge_net(P(3, 0.5), P(4.5, 0.5)), self.inst())
+        edge_qualifies(world, 1, 0)
+        edge_qualifies(world, 0, 1)
+        assert world.qualified == {(0, 1): True}
 
 
 class TestScenarioIO:

@@ -64,7 +64,7 @@ def scripted(alg: str, *messages: Message):
         calls.append(brief(m))
         return handle(nets, d, m, **flags)
 
-    return Algorithm(alg, lambda nets, inst: list(messages), recording), calls
+    return Algorithm(alg, lambda nets, world: list(messages), recording), calls
 
 
 def assert_mate_annihilated(nets, inst, alg: str, arriving: Message, mate: Message):
@@ -161,32 +161,33 @@ class TestRotationEquivalence:
 
 
 class TestMates:
-    inst = some_inst()
+    nets = nets_from_edges([P(0, 0), P(0.5, 0), P(1, 0)], [])
+    world = nets.world(some_inst())
 
     def test_flood_pair(self):
-        m1 = Message(FLOOD, None, 1, 2, self.inst, 3)
-        m2 = Message(FLOOD, None, 2, 1, self.inst, 5)
+        m1 = Message(FLOOD, None, 1, 2, self.world, 3)
+        m2 = Message(FLOOD, None, 2, 1, self.world, 5)
         assert mate_matches(m1, m2) and mate_matches(m2, m1)
 
     def test_planar_opposite_directions(self):
-        m1 = Message(PLANAR, LEFT, 1, 2, self.inst, 3)
-        m2 = Message(PLANAR, RIGHT, 2, 1, self.inst, 3)
+        m1 = Message(PLANAR, LEFT, 1, 2, self.world, 3)
+        m2 = Message(PLANAR, RIGHT, 2, 1, self.world, 3)
         assert mate_matches(m1, m2)
 
     def test_planar_same_direction_rejected(self):
-        m1 = Message(PLANAR, LEFT, 1, 2, self.inst, 3)
-        m2 = Message(PLANAR, LEFT, 2, 1, self.inst, 3)
+        m1 = Message(PLANAR, LEFT, 1, 2, self.world, 3)
+        m2 = Message(PLANAR, LEFT, 2, 1, self.world, 3)
         assert not mate_matches(m1, m2)
 
     def test_different_instances_rejected(self):
         other = GeocastInstance.create(1, P(0.5, 0), Rect.from_bounds(1, 1, 2, 2))
-        m1 = Message(FLOOD, None, 1, 2, self.inst, 1)
-        m2 = Message(FLOOD, None, 2, 1, other, 1)
+        m1 = Message(FLOOD, None, 1, 2, self.world, 1)
+        m2 = Message(FLOOD, None, 2, 1, self.nets.world(other), 1)
         assert not mate_matches(m1, m2)
 
     def test_greedy_never_mates(self):
-        m1 = Message(GREEDY, None, 1, 2, self.inst, 1)
-        m2 = Message(GREEDY, None, 2, 1, self.inst, 1)
+        m1 = Message(GREEDY, None, 1, 2, self.world, 1)
+        m2 = Message(GREEDY, None, 2, 1, self.world, 1)
         assert not mate_matches(m1, m2)
 
 
@@ -198,27 +199,29 @@ class TestStatelessFlood:
     def test_initiate_one_message_per_neighbor(self):
         nets = self.star()
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        msgs = sf_initiate(nets, inst)
+        msgs = sf_initiate(nets, nets.world(inst))
         assert sorted(m.receiver for m in msgs) == [1, 2, 3]
         assert all(m.mode == FLOOD and m.depth == 1 and m.sender == 0 for m in msgs)
 
     def test_isolated_source_initiates_nothing(self):
         nets = nets_from_edges([P(0, 0), P(5, 5)], [])
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        assert sf_initiate(nets, inst) == []
+        assert sf_initiate(nets, nets.world(inst)) == []
 
     def test_mate_annihilates_without_sends(self):
         nets = self.star()
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        assert_mate_annihilated(nets, inst, "sf", Message(FLOOD, None, 1, 0, inst, 2),
-                                Message(FLOOD, None, 0, 1, inst, 1))
+        w = nets.world(inst)
+        assert_mate_annihilated(nets, inst, "sf", Message(FLOOD, None, 1, 0, w, 2),
+                                Message(FLOOD, None, 0, 1, w, 1))
 
     def test_older_of_two_mates_is_annihilated(self):
         nets = self.star()
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        older = Message(FLOOD, None, 0, 1, inst, 1)
-        newer = Message(FLOOD, None, 0, 1, inst, 3)
-        algorithm, calls = scripted("sf", Message(FLOOD, None, 1, 0, inst, 2), older, newer)
+        w = nets.world(inst)
+        older = Message(FLOOD, None, 0, 1, w, 1)
+        newer = Message(FLOOD, None, 0, 1, w, 3)
+        algorithm, calls = scripted("sf", Message(FLOOD, None, 1, 0, w, 2), older, newer)
         sim = Simulation(nets, inst, algorithm)
         sim.step()
         assert sim.state.annihilated == 1 and calls == []
@@ -227,7 +230,7 @@ class TestStatelessFlood:
     def test_leaf_receiving_sends_nothing(self):
         nets = self.star()
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        arriving = Message(FLOOD, None, 0, 1, inst, 1)
+        arriving = Message(FLOOD, None, 0, 1, nets.world(inst), 1)
         out = sf_handle(nets, 1, arriving)
         assert out.sends == []
 
@@ -235,7 +238,7 @@ class TestStatelessFlood:
         pts = [P(0, 0), P(1, 0), P(1, 1), P(2, 0)]
         nets = nets_from_edges(pts, [(0, 1), (1, 2), (1, 3)])
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        out = sf_handle(nets, 1, Message(FLOOD, None, 0, 1, inst, 4))
+        out = sf_handle(nets, 1, Message(FLOOD, None, 0, 1, nets.world(inst), 4))
         assert sorted(m.receiver for m in out.sends) == [2, 3]
         assert all(m.depth == 5 for m in out.sends)
 
@@ -248,7 +251,7 @@ class TestStatelessFlood:
 class TestPlanarInitiate:
     def test_walkthrough_left_to_a_right_to_b(self, walkthrough):
         nets, inst = walkthrough
-        msgs = spg_initiate(nets, inst)
+        msgs = spg_initiate(nets, nets.world(inst))
         assert [brief(m) for m in msgs] == [
             (PLANAR, LEFT, WALK_S, WALK_A, 1),
             (PLANAR, RIGHT, WALK_S, WALK_B, 1),
@@ -257,7 +260,7 @@ class TestPlanarInitiate:
     def test_degree_one_source_sends_both_to_single_neighbor(self):
         nets = nets_from_edges([P(0, 0), P(1, 0)], [(0, 1)])
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(4, -1, 6, 1))
-        msgs = spg_initiate(nets, inst)
+        msgs = spg_initiate(nets, nets.world(inst))
         assert [brief(m) for m in msgs] == [
             (PLANAR, LEFT, 0, 1, 1), (PLANAR, RIGHT, 0, 1, 1)]
 
@@ -265,7 +268,7 @@ class TestPlanarInitiate:
         pts = [P(0, 0), P(1, 0), P(0, 1)]
         nets = nets_from_edges(pts, [(0, 1), (0, 2)])
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(1.5, -0.5, 2.5, 0.5))
-        msgs = spg_initiate(nets, inst)  # center (2, 0) lies along edge 0-1
+        msgs = spg_initiate(nets, nets.world(inst))  # center (2, 0) lies along edge 0-1
         assert [brief(m) for m in msgs] == [
             (PLANAR, LEFT, 0, 2, 1), (PLANAR, RIGHT, 0, 1, 1)]
 
@@ -274,19 +277,19 @@ class TestPlanarInitiate:
         nets = nets_from_edges(pts, [(0, 1), (0, 2)])
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(-1, -1, 1, 1))
         assert inst.center_line.degenerate
-        msgs = spg_initiate(nets, inst)
+        msgs = spg_initiate(nets, nets.world(inst))
         assert len(msgs) == 2 and {m.dir for m in msgs} == {LEFT, RIGHT}
 
     def test_isolated_source_initiates_nothing(self):
         nets = nets_from_edges([P(0, 0), P(5, 5)], [])
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
-        assert spg_initiate(nets, inst) == []
+        assert spg_initiate(nets, nets.world(inst)) == []
 
 
 class TestPlanarHandle:
     def test_walkthrough_b_forwards_and_splits_into_one_face(self, walkthrough):
         nets, inst = walkthrough
-        arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 1)
+        arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, nets.world(inst), 1)
         out = spg_handle(nets, WALK_B, arriving, split_done=False)
         assert [brief(m) for m in out.sends] == [
             (PLANAR, LEFT, WALK_B, WALK_A, 2),   # pair into the qualifying face
@@ -297,7 +300,7 @@ class TestPlanarHandle:
 
     def test_walkthrough_a_splits_twice(self, walkthrough):
         nets, inst = walkthrough
-        arriving = Message(PLANAR, LEFT, WALK_S, WALK_A, inst, 1)
+        arriving = Message(PLANAR, LEFT, WALK_S, WALK_A, nets.world(inst), 1)
         out = spg_handle(nets, WALK_A, arriving, split_done=False)
         assert [brief(m) for m in out.sends] == [
             (PLANAR, LEFT, WALK_A, WALK_A3, 2),
@@ -309,8 +312,9 @@ class TestPlanarHandle:
 
     def test_walkthrough_returning_message_meets_mate(self, walkthrough):
         nets, inst = walkthrough
-        assert_mate_annihilated(nets, inst, "spg", Message(PLANAR, RIGHT, WALK_B, WALK_A, inst, 2),
-                                Message(PLANAR, LEFT, WALK_A, WALK_B, inst, 2))
+        w = nets.world(inst)
+        assert_mate_annihilated(nets, inst, "spg", Message(PLANAR, RIGHT, WALK_B, WALK_A, w, 2),
+                                Message(PLANAR, LEFT, WALK_A, WALK_B, w, 2))
 
     def test_walkthrough_full_run_terminates_with_full_coverage(self, walkthrough):
         nets, inst = walkthrough
@@ -324,16 +328,17 @@ class TestPlanarHandle:
         pts = [P(0, 0), P(1, 0), P(1, 1), P(0, 1)]
         nets = nets_from_edges(pts, [(0, 1), (1, 2), (2, 3), (3, 0)])
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(5, 0, 6, 1))
-        arriving = Message(PLANAR, RIGHT, 2, 3, inst, 2)
+        arriving = Message(PLANAR, RIGHT, 2, 3, nets.world(inst), 2)
         out = spg_handle(nets, 3, arriving, split_done=False)
         assert len(out.sends) == 1
         assert out.sends[0].mode == PLANAR and out.sends[0].dir == RIGHT
 
     def test_split_fires_once_per_device(self, walkthrough):
         nets, inst = walkthrough
-        arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 1)
+        w = nets.world(inst)
+        arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, w, 1)
         first = spg_handle(nets, WALK_B, arriving, split_done=False)
-        again = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 5)
+        again = Message(PLANAR, RIGHT, WALK_S, WALK_B, w, 5)
         second = spg_handle(nets, WALK_B, again, split_done=True)
         assert len(first.sends) == 3
         assert [brief(m) for m in second.sends] == [(PLANAR, RIGHT, WALK_B, WALK_A, 6)]
@@ -349,7 +354,7 @@ class TestCombined:
 
     def test_in_region_planar_arrival_bursts_and_replies(self):
         nets, inst = self.fixture()
-        arriving = Message(PLANAR, LEFT, 4, 0, inst, 3)
+        arriving = Message(PLANAR, LEFT, 4, 0, nets.world(inst), 3)
         out = combined_handle(nets, 0, arriving, split_done=False)
         assert [brief(m) for m in out.sends] == [
             (FLOOD, None, 0, 1, 4),
@@ -362,18 +367,19 @@ class TestCombined:
     def test_in_region_flood_arrival_with_mate_annihilates_only(self):
         # device 0 has not been reached: without the mate it would burst
         nets, inst = self.fixture()
-        assert_mate_annihilated(nets, inst, "sf-spg", Message(FLOOD, None, 1, 0, inst, 4),
-                                Message(FLOOD, None, 0, 1, inst, 4))
+        w = nets.world(inst)
+        assert_mate_annihilated(nets, inst, "sf-spg", Message(FLOOD, None, 1, 0, w, 4),
+                                Message(FLOOD, None, 0, 1, w, 4))
 
     def test_repeat_arrival_without_mate_is_absorbed(self):
         nets, inst = self.fixture()
-        arriving = Message(PLANAR, RIGHT, 4, 0, inst, 9)
+        arriving = Message(PLANAR, RIGHT, 4, 0, nets.world(inst), 9)
         out = combined_handle(nets, 0, arriving, split_done=True)
         assert out.sends == []
 
     def test_out_of_region_device_delegates_to_planar_rule(self, walkthrough):
         nets, inst = walkthrough
-        arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, inst, 1)
+        arriving = Message(PLANAR, RIGHT, WALK_S, WALK_B, nets.world(inst), 1)
         spg = spg_handle(nets, WALK_B, arriving, split_done=False)
         comb = combined_handle(nets, WALK_B, arriving, split_done=False)
         assert [brief(m) for m in comb.sends] == [brief(m) for m in spg.sends]
@@ -381,7 +387,7 @@ class TestCombined:
     def test_in_region_source_floods_immediately(self):
         nets, inst = self.fixture()
         inst0 = GeocastInstance.create(0, P(0, 0), inst.region)
-        msgs = combined_initiate(nets, inst0)
+        msgs = combined_initiate(nets, nets.world(inst0))
         assert [brief(m) for m in msgs] == [
             (FLOOD, None, 0, 1, 1),
             (FLOOD, None, 0, 2, 1),
@@ -401,7 +407,7 @@ class TestGreedy:
 
     def test_chain_forwards_one_message_per_hop(self):
         nets, inst = self.chain()
-        msgs = greedy_initiate(nets, inst)
+        msgs = greedy_initiate(nets, nets.world(inst))
         assert [brief(m) for m in msgs] == [(GREEDY, None, 0, 1, 1)]
         out = greedy_handle(nets, 1, msgs[0])
         assert [brief(m) for m in out.sends] == [(GREEDY, None, 1, 2, 2)]
@@ -410,7 +416,7 @@ class TestGreedy:
         nets, _ = self.chain()
         # region covering devices 3 and 4; greedy arrives at 3 from 2
         inst = GeocastInstance.create(0, P(0, 0), Rect.from_bounds(2.4, -0.5, 4.3, 0.5))
-        arriving = Message(GREEDY, None, 2, 3, inst, 3)
+        arriving = Message(GREEDY, None, 2, 3, nets.world(inst), 3)
         out = greedy_handle(nets, 3, arriving, split_done=False)
         briefs = [brief(m) for m in out.sends]
         assert (FLOOD, None, 3, 4, 4) in briefs
@@ -425,24 +431,25 @@ class TestGreedy:
         pts = [P(0, 0), P(1.0, 0.3), P(0.4, 0.9)]
         nets = nets_from_edges(pts, [(0, 1), (0, 2), (1, 2)], radius=1.3)
         inst = GeocastInstance.create(0, pts[0], Rect.from_bounds(2.0, 0.0, 3.0, 1.0))
-        arriving = Message(GREEDY, None, 0, 1, inst, 1)
+        arriving = Message(GREEDY, None, 0, 1, nets.world(inst), 1)
         out = greedy_handle(nets, 1, arriving)
         assert len(out.sends) == 2
         assert {m.dir for m in out.sends} == {LEFT, RIGHT}
         for m in out.sends:
             assert m.mode == PLANAR and m.depth == 2 and m.sender == 1
-            assert m.inst.source == 1 and m.inst.center_line.a == pts[1]
-            assert m.inst.region == inst.region
+            assert m.world.inst.source == 1 and m.world.inst.center_line.a == pts[1]
+            assert m.world.inst.region == inst.region
 
     @pytest.mark.parametrize("anchor, mates", [(WALK_A, False), (WALK_S, True)],
                              ids=["other-device", "original-source"])
     def test_reanchored_instance_is_not_a_mate(self, walkthrough, anchor, mates):
         # the switch device re-anchors the guide line; an anchoring at the
-        # original source is an equal instance, and mates compare by value
+        # original source is an equal instance, so it resolves to the same
+        # world, and mates compare worlds by identity
         nets, inst = walkthrough
         anchored = GeocastInstance.create(anchor, nets.full.positions[anchor], inst.region)
-        arriving = Message(PLANAR, RIGHT, WALK_B, WALK_A, inst, 2)
-        queued = Message(PLANAR, LEFT, WALK_A, WALK_B, anchored, 2)
+        arriving = Message(PLANAR, RIGHT, WALK_B, WALK_A, nets.world(inst), 2)
+        queued = Message(PLANAR, LEFT, WALK_A, WALK_B, nets.world(anchored), 2)
         if mates:
             assert_mate_annihilated(nets, inst, "sf-spg-g", arriving, queued)
             return
@@ -455,8 +462,9 @@ class TestGreedy:
     @pytest.mark.parametrize("mode", [GREEDY, FLOOD])
     def test_greedy_arrival_never_annihilates(self, mode):
         nets, inst = self.chain()
-        arriving = Message(GREEDY, None, 0, 1, inst, 1)
-        queued = Message(mode, None, 1, 0, inst, 1)
+        w = nets.world(inst)
+        arriving = Message(GREEDY, None, 0, 1, w, 1)
+        queued = Message(mode, None, 1, 0, w, 1)
         algorithm, calls = scripted("sf-spg-g", arriving, queued)
         sim = Simulation(nets, inst, algorithm)
         sim.step()
@@ -468,7 +476,7 @@ class TestGreedy:
         pts = [P(0, 0), P(0.5, 0.2), P(3, 3)]
         nets = nets_from_edges(pts, [(0, 1)], radius=1.0)
         inst = GeocastInstance.create(0, pts[0], Rect.from_bounds(-1, -1, 1, 1))
-        msgs = greedy_initiate(nets, inst)
+        msgs = greedy_initiate(nets, nets.world(inst))
         assert [brief(m) for m in msgs] == [(FLOOD, None, 0, 1, 1)]
 
     def test_full_run_delivers_to_chain_region(self):
