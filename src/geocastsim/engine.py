@@ -10,9 +10,10 @@ deterministic for a fixed (scenario, algorithm, policy, seed).
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +39,8 @@ class TransmissionEvent(NamedTuple):
     depth: int
 
 
-# The pools keep annihilated mates too; `Simulation.step` skips them, and
-# pops only while something is queued.
+# The pools keep annihilated mates too; `Simulation` skips them, and pops
+# only while something is queued.
 
 class _DequePool:
     """The oldest (fifo) or the newest (lifo) pooled message."""
@@ -50,17 +51,35 @@ class _DequePool:
         self.pop = items.pop if lifo else items.popleft
 
 
-class _RandomPool:
-    """Uniform choice over all pooled messages, from a seeded stream."""
+def raw_words(bits: np.random.BitGenerator) -> Iterator[int]:
+    """The 32-bit words of `bits`, low half of each 64-bit output first, read in blocks."""
+    while True:
+        yield from bits.random_raw(64).astype("<u8").view("<u4").tolist()
 
-    def __init__(self, rng: np.random.Generator) -> None:
+
+def bounded_index(words: Iterator[int], n: int) -> int:
+    """The index in [0, n), 1 <= n < 2**32, that `Generator.integers(n)` returns
+    when its bit generator yields `words`: Lemire's multiply-and-reject (2019),
+    as numpy draws it.  n == 1 draws nothing."""
+    if n == 1:
+        return 0
+    floor = 2 ** 32 % n
+    while ((m := next(words) * n) & 0xFFFFFFFF) < floor:
+        pass
+    return m >> 32
+
+
+class _RandomPool:
+    """Uniform choice over all pooled messages: `substream(seed, 0).integers(len(pool))`."""
+
+    def __init__(self, seed: int) -> None:
         self._items: list = []
         self.add = self._items.append
-        self._rng = rng
+        self._words = raw_words(substream(seed, 0).bit_generator)
 
     def pop(self) -> Message:
         items = self._items
-        i = int(self._rng.integers(len(items)))
+        i = bounded_index(self._words, len(items))
         m = items[i]
         items[i] = items[-1]
         items.pop()
@@ -101,14 +120,14 @@ class Simulation:
         self.nets = nets
         self.algorithm = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
         if step_budget is None:
-            step_budget = BUDGET_FACTOR * nets.full.n * max(1, nets.full.max_degree())
+            step_budget = BUDGET_FACTOR * nets.full.n * max(1, nets.max_degree)
         self.step_budget = step_budget
         if policy in ("fifo", "lifo"):
             self.pool = _DequePool(lifo=policy == "lifo")
         elif policy == "random":
             if seed < 0:
                 raise ValueError(f"seed must be non-negative, got {seed!r}")
-            self.pool = _RandomPool(substream(seed, 0))
+            self.pool = _RandomPool(seed)
         else:
             raise ValueError(f"unknown policy {policy!r}")
         self.state = SimState()
@@ -116,62 +135,65 @@ class Simulation:
         # at initiation, so later receipts only forward or annihilate
         self.state.arrival[inst.source] = 0
         self.state.split_done.add(inst.source)
-        self._enqueue(self.algorithm.initiate(nets, nets.world(inst)))
+        self._advance(self.pool.pop, 0, self.algorithm.initiate(nets, nets.world(inst)))
 
-    def _enqueue(self, sends: list) -> None:
-        queued, add = self.state.queued, self.pool.add
-        for m in sends:
-            queued.setdefault((m.sender, m.receiver), []).append(m)
-            add(m)
-        self.state.enqueued += len(sends)
-
-    def _apply(self, m: Message) -> TransmissionEvent:
+    def _advance(self, pick: Callable[[], Message], count: int = sys.maxsize,
+                 sends: Sequence[Message] = ()) -> Optional[TransmissionEvent]:
+        """The step loop: enqueue `sends`, then transmit up to `count` messages (fewer
+        if the queues run dry) and return the last event, if any.  `pick` returns a pooled
+        message, skipped if no longer queued; the budget is checked first, so a fault changes nothing."""
         st = self.state
-        queued = st.queued
-        s, d = m.sender, m.receiver
-        edge = queued[(s, d)]
-        edge.remove(m)
-        if not edge:
-            del queued[(s, d)]
-        transcript = st.transcript
-        event = TransmissionEvent(len(transcript) + 1, m.mode, m.dir, s, d, m.depth)
-        transcript.append(event)
-        arrival = st.arrival
-        prev = arrival.get(d)
-        if prev is None or m.depth < prev:
-            arrival[d] = m.depth
-        back = queued.get((d, s))
-        if back is not None:
-            for mate in back:
+        queued, transcript, arrival, split_done = st.queued, st.transcript, st.arrival, st.split_done
+        nets, handle, add, budget = self.nets, self.algorithm.handle, self.pool.add, self.step_budget
+        new_event = tuple.__new__  # the NamedTuple's own __new__ is a Python-level call
+        stop = len(transcript) + count
+        event = None
+        while True:
+            for x in sends:
+                queued.setdefault((x.sender, x.receiver), []).append(x)
+                add(x)
+            st.enqueued += len(sends)
+            step = len(transcript)
+            if not queued or step >= stop:
+                return event
+            if step >= budget:
+                raise SimulationFault(f"no quiescence after {step} steps (budget "
+                                      f"{budget}, {st.queued_messages()} messages still queued)")
+            while True:
+                m = pick()
+                s, d = m.sender, m.receiver
+                edge = queued.get((s, d))
+                if edge is not None and m in edge:
+                    break
+            edge.remove(m)
+            if not edge:
+                del queued[(s, d)]
+            event = new_event(TransmissionEvent, (step + 1, m.mode, m.dir, s, d, m.depth))
+            transcript.append(event)
+            prev = arrival.get(d)
+            if prev is None or m.depth < prev:
+                arrival[d] = m.depth
+            sends = ()
+            for mate in queued.get((d, s), ()):
                 if mate_matches(m, mate):
+                    back = queued[(d, s)]
                     back.remove(mate)
                     if not back:
                         del queued[(d, s)]
                     st.annihilated += 1
-                    return event
-        mutation = self.algorithm.handle(self.nets, d, m, split_done=d in st.split_done)
-        if mutation.split:
-            st.split_done.add(d)
-        self._enqueue(mutation.sends)
-        return event
+                    break
+            else:
+                mutation = handle(nets, d, m, split_done=d in split_done)
+                if mutation.split:
+                    split_done.add(d)
+                sends = mutation.sends
 
     def step(self) -> Optional[TransmissionEvent]:
         """Transmit one message; None means nothing is queued (quiescent)."""
-        st = self.state
-        queued = st.queued
-        if not queued:
-            return None
-        if len(st.transcript) >= self.step_budget:
-            raise SimulationFault(f"no quiescence after {st.steps} steps (budget "
-                                  f"{self.step_budget}, {st.queued_messages()} messages still queued)")
-        while True:
-            m = self.pool.pop()
-            if m in queued.get((m.sender, m.receiver), ()):
-                return self._apply(m)
+        return self._advance(self.pool.pop, 1)
 
     def run_to_quiescence(self) -> SimState:
-        while self.step() is not None:
-            pass
+        self._advance(self.pool.pop)
         return self.state
 
 
@@ -240,17 +262,23 @@ def run(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorith
 
 def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm],
            transcript: Iterable[TransmissionEvent]) -> SimState:
-    """Re-apply a transcript to a fresh state; raises ValueError if any event
-    names a device outside [0, n) or cannot be matched to a queued message."""
-    sim = Simulation(nets, inst, algorithm)
+    """Re-run the step loop, picking the queued message each event names; raises
+    ValueError if an event names a device outside [0, n) or no queued message."""
+    events = list(transcript)
+    sim = Simulation(nets, inst, algorithm, step_budget=len(events))
+    queued, done = sim.state.queued, sim.state.transcript
     n = nets.full.n
-    for event in transcript:
+
+    def matching() -> Message:
+        event = events[len(done)]
         if not (0 <= event.sender < n and 0 <= event.receiver < n):
             raise ValueError(f"transcript event {event} names a device outside [0, {n})")
-        for m in sim.state.queued.get((event.sender, event.receiver), ()):
+        for m in queued.get((event.sender, event.receiver), ()):
             if m.mode == event.mode and m.dir == event.dir and m.depth == event.depth:
-                sim._apply(m)
-                break
-        else:
-            raise ValueError(f"transcript event {event} has no queued counterpart")
+                return m
+        raise ValueError(f"transcript event {event} has no queued counterpart")
+
+    sim._advance(matching, len(events))
+    if len(done) < len(events):
+        matching()  # the queues ran dry: raises for the next event
     return sim.state

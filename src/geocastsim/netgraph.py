@@ -68,9 +68,6 @@ class Network:
     def degree(self, d: DeviceId) -> int:
         return len(self.adjacency[d])
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
     def edges(self) -> Iterable[tuple[DeviceId, DeviceId]]:
         for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:
@@ -134,6 +131,8 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
         raise ValueError("radius must be finite")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if not 1.0 / DOMAIN_LIMIT <= radius <= DOMAIN_LIMIT:
+        raise ValueError("radius must lie in [2**-511, 2**511]")
     pts = list(points)
     n = len(pts)
     xs, ys = _coordinates(pts)
@@ -144,6 +143,9 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
         raise DuplicatePointsError("device coordinates must be pairwise distinct")
     if not pts:
         return Network((), ())
+    # the numeric domain (DOMAIN_LIMIT); min + DOMAIN_LIMIT cannot overflow, where max - min could
+    if any(float(v.max()) > float(v.min()) + DOMAIN_LIMIT for v in (xs, ys)):
+        raise ValueError("device coordinates must span at most 2**511 on each axis")
     # Cells are a hair wider than the radius, so a pair that passes the rounded
     # distance test is never two cells apart after x / cell is rounded: the
     # relative slack covers the rounding of the test, the extent term that of
@@ -512,8 +514,14 @@ def _edge_qualifies(pu: Point, pv: Point, inst: GeocastInstance) -> bool:
 
 
 def wedge_qualifies(world: World, d: DeviceId, wedge: tuple[DeviceId, DeviceId]) -> bool:
-    u, w = wedge
-    return edge_qualifies(world, d, u) or edge_qualifies(world, d, w)
+    """Either edge of the wedge at d qualifies; a memo hit makes no call."""
+    memo = world.qualified
+    for u in wedge:
+        if (hit := memo.get((d, u) if d < u else (u, d))) is None:
+            hit = edge_qualifies(world, d, u)
+        if hit:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

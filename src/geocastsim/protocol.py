@@ -64,10 +64,12 @@ class RoutingNets:
     """A run's world: the graphs an algorithm routes on (`full` unit-disk and
     `planar` overlay), `unit_disk`, the graph a run is measured on (`full`
     itself unless it routes on a backbone), and `worlds`, the one `World` of
-    each instance value on `unit_disk`, made when first resolved."""
+    each instance value on `unit_disk`, made when first resolved; `max_degree`
+    of `full` sizes every run's step budget."""
 
     def __init__(self, full: Network, planar: Network, unit_disk: Optional[Network] = None):
         self.full, self.planar = full, planar
+        self.max_degree = max(map(len, full.adjacency), default=0)
         self.unit_disk = full if unit_disk is None else unit_disk
         self.worlds: dict[GeocastInstance, World] = {}
 

@@ -8,15 +8,19 @@ import pytest
 
 from conftest import P, nets_from_edges, sf_border_violations
 from geocastsim.engine import (
+    BUDGET_FACTOR,
     POLICIES,
     Metrics,
     Simulation,
     SimulationFault,
     TransmissionEvent,
+    bounded_index,
     compute_metrics,
     deliver_dominated,
+    raw_words,
     replay,
     run,
+    substream,
 )
 from geocastsim import netgraph
 from geocastsim.cli import main
@@ -112,6 +116,66 @@ class TestStep:
         nets, inst = triangle_fixture()
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             Simulation(nets, inst, "sf", policy="random", seed=-1)
+
+
+class TestOneLoop:
+    """`step()` and `run_to_quiescence()` drive the one step loop, and `replay`
+    drives it with a pick of its own: all three give one run."""
+
+    @pytest.mark.parametrize("algorithm", ["sf", "spg", "sf-spg", "sf-spg-g"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_stepping_running_and_replaying_agree(self, algorithm, policy):
+        cfg = ExperimentConfig(field_side=6.0, density=6.0, region_side=2.0, trials=3, seed=12)
+        for trial in range(3):
+            sc = gen_scenario(cfg, trial)
+            nets, inst = build_nets(sc).nets, sc.instance()
+            whole = Simulation(nets, inst, algorithm, policy, seed=sc.seed).run_to_quiescence()
+            sim = Simulation(nets, inst, algorithm, policy, seed=sc.seed)
+            events = []
+            while (event := sim.step()) is not None:
+                events.append(event)
+            stepped = sim.state
+            assert events == stepped.transcript == whole.transcript
+            assert stepped.queued_messages() == 0 and sim.step() is None
+            replayed = replay(nets, inst, algorithm, whole.transcript)
+            for state in (stepped, replayed):
+                assert state.transcript == whole.transcript
+                assert (state.enqueued, state.annihilated) == (whole.enqueued, whole.annihilated)
+                assert state.split_done == whole.split_done
+                assert state.arrival == whole.arrival
+            assert replayed.queued_messages() == 0
+
+    def test_replay_rejects_a_transcript_longer_than_the_run(self):
+        nets, inst = triangle_fixture()
+        state, _ = run(nets, inst, "sf")
+        extra = state.transcript[-1]._replace(step=state.steps + 1)
+        with pytest.raises(ValueError, match="has no queued counterpart") as err:
+            replay(nets, inst, "sf", state.transcript + [extra])
+        assert repr(extra) in str(err.value)
+
+    def test_step_budget_from_the_routing_values_max_degree(self):
+        sc = gen_scenario(ExperimentConfig(field_side=6.0, trials=1), 0)
+        nets, inst = build_nets(sc).nets, sc.instance()
+        degree = max(map(len, nets.full.adjacency))
+        assert Simulation(nets, inst).step_budget == BUDGET_FACTOR * nets.full.n * degree
+        assert nets.max_degree == degree
+
+
+class TestRandomPick:
+    """The `random` policy draws the index `substream(seed, 0).integers(n)`
+    would, from the raw Philox stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20260809])
+    def test_index_equals_numpy_integers(self, seed):
+        # n = 2**31 + 1 and 3 * 2**30 reject about a half and a quarter of their
+        # words; n = 1 draws none, and 2**32 - 1 is the largest n
+        rng = np.random.default_rng(seed)
+        sizes = ([1, 2, 3, 2 ** 31, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1] * 50
+                 + rng.integers(1, 2 ** 32 - 1, 300).tolist() + rng.integers(1, 600, 300).tolist())
+        rng.shuffle(sizes)
+        reference = substream(seed, 0)
+        words = raw_words(substream(seed, 0).bit_generator)
+        assert [bounded_index(words, n) for n in sizes] == [int(reference.integers(n)) for n in sizes]
 
 
 class TestRun:

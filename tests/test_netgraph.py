@@ -84,6 +84,24 @@ class TestBuildUnitDisk:
             for v in net.adjacency[u]:
                 assert u in net.adjacency[v]
 
+    @pytest.mark.parametrize("pts, radius, what", [
+        # r*r and dx*dx + dy*dy both overflowed to inf, which linked this pair
+        # with an overflow warning
+        ([P(0, 0), P(1e308, 1e308)], 1e308, "radius"),
+        ([P(0, 0), P(1, 0)], 2.0 ** 512, "radius"),
+        ([P(0, 0), P(1e-160, 0)], 2.0 ** -512, "radius"),
+        ([P(0, 0), P(2.0 ** 512, 0)], 1.0, "span"),
+        ([P(0, -1e308), P(1, 1e308)], 1.0, "span"),
+    ])
+    def test_outside_the_numeric_domain_rejected(self, pts, radius, what):
+        with pytest.raises(ValueError, match=what):
+            build_unit_disk(pts, radius)
+
+    def test_domain_boundary_builds(self):
+        big, tiny = 2.0 ** 511, 2.0 ** -511
+        assert build_unit_disk([P(0, 0), P(big, 0), P(big, big)], big).adjacency == ((1,), (2, 0), (1,))
+        assert build_unit_disk([P(0, 0), P(tiny, 0)], tiny).adjacency == ((1,), (0,))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
