@@ -135,8 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     bundle = experiments.build_nets(scenario, cds=args.cds)
     seed = scenario.seed if args.seed is None else args.seed
     try:
-        state, metrics = run(bundle.nets, scenario.instance(), args.alg, args.policy, seed,
-                             backbone=bundle.backbone)
+        state, metrics = run(bundle.nets, scenario.instance(), args.alg, args.policy, seed)
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return EXIT_FAULT

@@ -86,14 +86,20 @@ class _RandomPool:
         return m
 
 
+class _MatchingPool:
+    """Replay's pool: `pop` is a pick that reads the queues, so `add` keeps nothing."""
+
+    def __init__(self, pop: Callable[[], Message]) -> None:
+        self.pop, self.add = pop, lambda m: None
+
+
 class SimState:
     """Queued messages by directed edge (sender, receiver), oldest first, plus the
-    transcript, arrivals, one-shot gate and counters; `Simulation.pool` picks each step."""
+    transcript, one-shot gate and counters; `Simulation.pool` picks each step."""
 
     def __init__(self) -> None:
         self.queued: dict[tuple[DeviceId, DeviceId], list[Message]] = {}
         self.transcript: list[TransmissionEvent] = []
-        self.arrival: dict[DeviceId, int] = {}
         self.split_done: set[DeviceId] = set()
         self.enqueued = 0
         self.annihilated = 0
@@ -133,7 +139,6 @@ class Simulation:
         self.state = SimState()
         # the source has already participated: its one-shot emissions happen
         # at initiation, so later receipts only forward or annihilate
-        self.state.arrival[inst.source] = 0
         self.state.split_done.add(inst.source)
         self._advance(self.pool.pop, 0, self.algorithm.initiate(nets, nets.world(inst)))
 
@@ -143,7 +148,7 @@ class Simulation:
         if the queues run dry) and return the last event, if any.  `pick` returns a pooled
         message, skipped if no longer queued; the budget is checked first, so a fault changes nothing."""
         st = self.state
-        queued, transcript, arrival, split_done = st.queued, st.transcript, st.arrival, st.split_done
+        queued, transcript, split_done = st.queued, st.transcript, st.split_done
         nets, handle, add, budget = self.nets, self.algorithm.handle, self.pool.add, self.step_budget
         new_event = tuple.__new__  # the NamedTuple's own __new__ is a Python-level call
         stop = len(transcript) + count
@@ -170,9 +175,6 @@ class Simulation:
                 del queued[(s, d)]
             event = new_event(TransmissionEvent, (step + 1, m.mode, m.dir, s, d, m.depth))
             transcript.append(event)
-            prev = arrival.get(d)
-            if prev is None or m.depth < prev:
-                arrival[d] = m.depth
             sends = ()
             for mate in queued.get((d, s), ()):
                 if mate_matches(m, mate):
@@ -208,6 +210,15 @@ class Metrics:
     target_count: int
 
 
+def arrivals(transcript: Iterable[TransmissionEvent], source: DeviceId) -> dict[DeviceId, int]:
+    """Each visited device's least depth in `transcript`; the source's is 0."""
+    arrival = {source: 0}
+    for e in transcript:
+        if e.depth < arrival.get(e.receiver, sys.maxsize):
+            arrival[e.receiver] = e.depth
+    return arrival
+
+
 def compute_metrics(state: SimState, nets: RoutingNets, inst: GeocastInstance) -> Metrics:
     """Cost, coverage, and latency of a quiescent run.
 
@@ -217,60 +228,53 @@ def compute_metrics(state: SimState, nets: RoutingNets, inst: GeocastInstance) -
     """
     cost = len(state.transcript)
     world = nets.world(inst)
-    covered = frozenset(state.arrival.keys() & world.region)
+    arrival = arrivals(state.transcript, inst.source)
+    covered = frozenset(arrival.keys() & world.region)
     hops, targets, far = world.reach
     if not targets:
         return Metrics(cost, covered, None, None, None, None, 0)
-    latency = state.arrival.get(far)
+    latency = arrival.get(far)
     stretch = latency / hops[far] if latency is not None and hops[far] > 0 else None
     return Metrics(cost, covered, latency, stretch, cost / len(targets),
                    len(covered & targets) / len(targets), len(targets))
 
 
-def deliver_dominated(state: SimState, nets: RoutingNets, inst: GeocastInstance,
-                      backbone: frozenset) -> int:
-    """Backbone mode epilogue: one-hop delivery from visited backbone devices
-    to dominated in-region neighbors that routing never reached."""
-    arrival, transcript = state.arrival, state.transcript
+def deliver_dominated(state: SimState, nets: RoutingNets, inst: GeocastInstance) -> int:
+    """Backbone epilogue: each unvisited in-region device that `nets.full` leaves
+    isolated (it is off the backbone) gets one hop on `nets.unit_disk` from its
+    visited neighbor of least depth, lowest id on ties; returns how many did."""
+    transcript, arrival = state.transcript, arrivals(state.transcript, inst.source)
     before = len(transcript)
-    for d in sorted(nets.world(inst).region.difference(backbone, arrival)):
-        dominators = [u for u in nets.unit_disk.adjacency[d] if u in backbone and u in arrival]
-        if dominators:
+    for d in sorted(nets.world(inst).region.difference(arrival)):
+        dominators = [u for u in nets.unit_disk.adjacency[d] if u in arrival]
+        if dominators and not nets.full.adjacency[d]:
             u = min(dominators, key=lambda v: (arrival[v], v))
-            arrival[d] = arrival[u] + 1
-            transcript.append(TransmissionEvent(len(transcript) + 1, "flood", None, u, d, arrival[d]))
+            transcript.append(TransmissionEvent(len(transcript) + 1, "flood", None, u, d, arrival[u] + 1))
     return len(transcript) - before
 
 
 def run(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm] = "sf",
-        policy: str = DEFAULT_POLICY, seed: int = 0, step_budget: Optional[int] = None, *,
-        backbone: Optional[frozenset] = None) -> tuple[SimState, Metrics]:
-    """One delivery: simulate to quiescence, then measure on `nets.unit_disk`.
-
-    When `nets` is restricted to a `backbone`, the run ends with the one-hop
-    delivery to dominated devices (`deliver_dominated`); that needs
-    `nets.unit_disk` to be the unrestricted graph, since `nets.full` has no
-    edges off the backbone.  Raises SimulationFault if the step budget runs out.
-    """
-    if backbone is not None and nets.unit_disk is nets.full:
-        raise ValueError("a backbone run needs nets.unit_disk, the unrestricted unit-disk graph")
+        policy: str = DEFAULT_POLICY, seed: int = 0,
+        step_budget: Optional[int] = None) -> tuple[SimState, Metrics]:
+    """One delivery: simulate to quiescence, then measure on `nets.unit_disk`.  A run on
+    a backbone (`nets.unit_disk` is not `nets.full`) ends with the one-hop delivery to
+    dominated devices, `deliver_dominated`.  Raises SimulationFault if the step budget runs out."""
     state = Simulation(nets, inst, algorithm, policy, seed, step_budget).run_to_quiescence()
-    if backbone is not None:
-        deliver_dominated(state, nets, inst, backbone)
+    if nets.unit_disk is not nets.full:
+        deliver_dominated(state, nets, inst)
     return state, compute_metrics(state, nets, inst)
 
 
 def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algorithm],
-           transcript: Iterable[TransmissionEvent]) -> SimState:
+           transcript: Sequence[TransmissionEvent]) -> SimState:
     """Re-run the step loop, picking the queued message each event names; raises
     ValueError if an event names a device outside [0, n) or no queued message."""
-    events = list(transcript)
-    sim = Simulation(nets, inst, algorithm, step_budget=len(events))
+    sim = Simulation(nets, inst, algorithm, step_budget=len(transcript))
     queued, done = sim.state.queued, sim.state.transcript
     n = nets.full.n
 
     def matching() -> Message:
-        event = events[len(done)]
+        event = transcript[len(done)]
         if not (0 <= event.sender < n and 0 <= event.receiver < n):
             raise ValueError(f"transcript event {event} names a device outside [0, {n})")
         for m in queued.get((event.sender, event.receiver), ()):
@@ -278,7 +282,8 @@ def replay(nets: RoutingNets, inst: GeocastInstance, algorithm: Union[str, Algor
                 return m
         raise ValueError(f"transcript event {event} has no queued counterpart")
 
-    sim._advance(matching, len(events))
-    if len(done) < len(events):
+    sim.pool = _MatchingPool(matching)  # drops the fifo pool and the initiation it holds
+    sim._advance(matching, len(transcript))
+    if len(done) < len(transcript):
         matching()  # the queues ran dry: raises for the next event
     return sim.state

@@ -125,8 +125,7 @@ def run_trial(scenario: Scenario, algorithm: str, bundle: NetBundle,
     """Metrics of one delivery of the scenario's instance on its networks, or
     None if it faulted.  Runs on one bundle share its routing value's worlds."""
     try:
-        _, metrics = run(bundle.nets, scenario.instance(), algorithm, policy, scenario.seed,
-                         backbone=bundle.backbone)
+        _, metrics = run(bundle.nets, scenario.instance(), algorithm, policy, scenario.seed)
     except SimulationFault:
         return None
     return metrics

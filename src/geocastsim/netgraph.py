@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -127,12 +126,8 @@ def build_unit_disk(points: Sequence[Point], radius: float) -> Network:
     either half and is -inf on the x axis), then its check on adjacent
     pairs; a device with a pair the key misplaced gets `_ccw_repaired`.
     """
-    if not math.isfinite(radius):
-        raise ValueError("radius must be finite")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if not 1.0 / DOMAIN_LIMIT <= radius <= DOMAIN_LIMIT:
-        raise ValueError("radius must lie in [2**-511, 2**511]")
+    if not 1.0 / DOMAIN_LIMIT <= radius <= DOMAIN_LIMIT:  # rejects NaN, inf, 0 and below too
+        raise ValueError("radius must be finite and lie in [2**-511, 2**511]")
     pts = list(points)
     n = len(pts)
     xs, ys = _coordinates(pts)

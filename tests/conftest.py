@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from geocastsim.engine import TransmissionEvent, arrivals
 from geocastsim.export import used_edges_from_trace
 from geocastsim.geometry import COLLINEAR, RIGHT, Point, Rect, Segment, dist2, orientation
 from geocastsim.netgraph import (
@@ -458,20 +459,21 @@ def exhaustive_sf_outcomes(adjacency, source):
     return outcomes
 
 
-def sf_border_violations(sim) -> list[str]:
+def sf_border_violations(sim, source: int) -> list[str]:
     """Check the flooding frontier invariant on the current state: a visited
     device queues exactly one message per unused incident edge and none per
     used edge; unvisited devices queue nothing."""
     net = sim.nets.full
     st = sim.state
     used = used_edges_from_trace(st.transcript)
+    visited = arrivals(st.transcript, source)
     receivers = defaultdict(list)
     for (sender, receiver), msgs in st.queued.items():
         receivers[sender].extend([receiver] * len(msgs))
     violations = []
     for d in range(net.n):
         queued = receivers[d]
-        if d not in st.arrival:
+        if d not in visited:
             if queued:
                 violations.append(f"unvisited device {d} holds {queued}")
             continue
@@ -487,3 +489,22 @@ def sf_border_violations(sim) -> list[str]:
         if extras:
             violations.append(f"device {d} queues to non-neighbors {extras}")
     return violations
+
+
+def reference_deliver_dominated(state, nets: RoutingNets, inst: GeocastInstance,
+                                backbone: frozenset) -> int:
+    """The backbone epilogue by its rule over an explicit backbone set: each
+    unvisited in-region device off `backbone` gets one hop on `nets.unit_disk`
+    from its visited backbone neighbor of least depth, lowest id on ties."""
+    arrival = {inst.source: 0}
+    for e in state.transcript:
+        arrival[e.receiver] = min(e.depth, arrival.get(e.receiver, e.depth))
+    transcript = state.transcript
+    before = len(transcript)
+    for d in sorted(nets.world(inst).region.difference(backbone, arrival)):
+        dominators = [u for u in nets.unit_disk.adjacency[d] if u in backbone and u in arrival]
+        if dominators:
+            u = min(dominators, key=lambda v: (arrival[v], v))
+            arrival[d] = arrival[u] + 1
+            transcript.append(TransmissionEvent(len(transcript) + 1, "flood", None, u, d, arrival[d]))
+    return len(transcript) - before

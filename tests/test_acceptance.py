@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import component_of, in_region, sf_border_violations
-from geocastsim.engine import Simulation, compute_metrics
+from geocastsim.engine import Simulation, arrivals, compute_metrics
 from geocastsim.experiments import (
     ExperimentConfig,
     build_nets,
@@ -69,7 +69,7 @@ def test_criterion_1_flood_visits_component_at_edge_cost(corpus, flood_runs):
     for (scenario, bundle), state in zip(corpus, flood_runs):
         comp = component_of(bundle.nets.full, scenario.source)
         comp_edges = sum(1 for u, v in bundle.nets.full.edges() if u in comp)
-        ok = (set(state.arrival) == comp
+        ok = (set(arrivals(state.transcript, scenario.source)) == comp
               and state.steps == comp_edges
               and state.queued_messages() == 0)
         failures += 0 if ok else 1
@@ -82,7 +82,7 @@ def test_criterion_2_flood_latency_optimal(corpus, flood_runs):
     violations = 0
     for (scenario, bundle), state in zip(corpus, flood_runs):
         hops = bfs_hops(bundle.nets.full, scenario.source)
-        if any(depth != hops[d] for d, depth in state.arrival.items()):
+        if any(depth != hops[d] for d, depth in arrivals(state.transcript, scenario.source).items()):
             violations += 1
             continue
         metrics = compute_metrics(state, bundle.nets, scenario.instance())
@@ -106,10 +106,10 @@ def test_criterion_3_planar_coverage_bound_and_policy_independence(corpus):
         for policy in ("fifo", "lifo", "random"):
             state = Simulation(bundle.nets, inst, "spg", policy,
                                seed=scenario.seed).run_to_quiescence()
-            visited_sets.append(frozenset(state.arrival))
+            visited_sets.append(frozenset(arrivals(state.transcript, scenario.source)))
             if state.queued_messages() != 0:
                 failures.append((index, policy, "queues not empty"))
-            if not targets <= set(state.arrival):
+            if not targets <= set(arrivals(state.transcript, scenario.source)):
                 failures.append((index, policy, "missed in-region devices"))
             if state.steps > 2 * planar_edges:
                 failures.append((index, policy,
@@ -135,10 +135,10 @@ def test_criterion_4_flood_frontier_invariant_on_small_graphs():
         src = int(rng.integers(n))
         inst = GeocastInstance.create(src, pts[src], Rect.from_bounds(0, 0, side, side))
         sim = Simulation(RoutingNets(net, net), inst, "sf")
-        if sf_border_violations(sim):
+        if sf_border_violations(sim, src):
             violations += 1
         while sim.step() is not None:
-            if sf_border_violations(sim):
+            if sf_border_violations(sim, src):
                 violations += 1
                 break
     report(4, violations == 0,

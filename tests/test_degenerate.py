@@ -85,8 +85,7 @@ def test_every_algorithm_delivers_on_degenerate_world(name):
         for alg in ALGORITHMS:
             for policy in POLICIES:
                 case = (alg, policy, "cds" if cds else "full")
-                state, metrics = run(bundle.nets, inst, alg, policy, scenario.seed,
-                                     backbone=bundle.backbone)
+                state, metrics = run(bundle.nets, inst, alg, policy, scenario.seed)
                 assert state.queued_messages() == 0, case
                 assert metrics.delivery_rate in (None, 1.0), case
                 # every enqueued message was sent or annihilated; the backbone's

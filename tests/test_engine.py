@@ -1,12 +1,14 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from collections.abc import Collection
 
 import numpy as np
 import pytest
 
-from conftest import P, nets_from_edges, sf_border_violations
+from conftest import P, nets_from_edges, reference_deliver_dominated, sf_border_violations
 from geocastsim.engine import (
     BUDGET_FACTOR,
     POLICIES,
@@ -14,6 +16,7 @@ from geocastsim.engine import (
     Simulation,
     SimulationFault,
     TransmissionEvent,
+    arrivals,
     bounded_index,
     compute_metrics,
     deliver_dominated,
@@ -33,6 +36,7 @@ from geocastsim.netgraph import (
     build_unit_disk,
     edge_qualifies,
     gabriel_subgraph,
+    induced_subgraph,
     save_scenario,
 )
 from geocastsim.protocol import ALGORITHMS, FLOOD, Message, RoutingNets, mate_matches
@@ -69,7 +73,7 @@ class TestStep:
         inst = GeocastInstance.create(0, P(0, 0), FAR_REGION)
         sim = Simulation(nets, inst, "sf")
         assert sim.step() is None
-        assert sim.state.arrival == {0: 0}
+        assert arrivals(sim.state.transcript, inst.source) == {0: 0}
 
     def test_single_message_to_leaf(self):
         nets = nets_from_edges([P(0, 0), P(1, 0)], [(0, 1)])
@@ -85,7 +89,7 @@ class TestStep:
         sim = Simulation(nets, inst, "sf", policy=policy, seed=11)
         state = sim.run_to_quiescence()
         assert state.steps == 3
-        assert set(state.arrival) == {0, 1, 2}
+        assert set(arrivals(state.transcript, inst.source)) == {0, 1, 2}
 
     def test_budget_exhaustion_raises_fault(self):
         nets, inst = path_fixture()
@@ -142,7 +146,7 @@ class TestOneLoop:
                 assert state.transcript == whole.transcript
                 assert (state.enqueued, state.annihilated) == (whole.enqueued, whole.annihilated)
                 assert state.split_done == whole.split_done
-                assert state.arrival == whole.arrival
+                assert arrivals(state.transcript, inst.source) == arrivals(whole.transcript, inst.source)
             assert replayed.queued_messages() == 0
 
     def test_replay_rejects_a_transcript_longer_than_the_run(self):
@@ -192,7 +196,7 @@ class TestRun:
         nets, inst = triangle_fixture()
         state, metrics = run(nets, inst, "spg")
         assert metrics.message_cost <= 2 * nets.planar.edge_count()
-        assert set(state.arrival) == {0, 1, 2}
+        assert set(arrivals(state.transcript, inst.source)) == {0, 1, 2}
         assert state.queued_messages() == 0
 
     def test_region_in_other_component_not_counted(self):
@@ -217,7 +221,7 @@ class TestRun:
     def test_arrival_includes_source_at_depth_zero(self):
         nets, inst = path_fixture()
         state, _ = run(nets, inst, "sf")
-        assert state.arrival[0] == 0
+        assert arrivals(state.transcript, inst.source)[0] == 0
 
 
 class TestDeterminismAndConservation:
@@ -252,7 +256,7 @@ class TestDeterminismAndConservation:
         net = bundle.nets.full if graph == "full" else bundle.nets.planar
         state = Simulation(bundle.nets, sc.instance(), algorithm).run_to_quiescence()
         hops = bfs_hops(net, sc.source)
-        for d, depth in state.arrival.items():
+        for d, depth in arrivals(state.transcript, sc.source).items():
             assert hops[d] is not None and depth >= hops[d]
 
     def test_flood_arrivals_match_hop_distance_under_fifo(self):
@@ -260,7 +264,7 @@ class TestDeterminismAndConservation:
             sc, bundle = self.scenario(seed)
             state = Simulation(bundle.nets, sc.instance(), "sf", "fifo").run_to_quiescence()
             hops = bfs_hops(bundle.nets.full, sc.source)
-            assert all(depth == hops[d] for d, depth in state.arrival.items())
+            assert all(depth == hops[d] for d, depth in arrivals(state.transcript, sc.source).items())
 
 
     def test_acceptance_transcripts_unchanged(self):
@@ -349,7 +353,7 @@ class TestWorldMemo:
                 for policy in POLICIES:
                     unshared = fresh(bundle.nets)
                     (state, metrics), (fresh_state, fresh_metrics) = (
-                        run(nets, sc.instance(), alg, policy, sc.seed, backbone=bundle.backbone)
+                        run(nets, sc.instance(), alg, policy, sc.seed)
                         for nets in (bundle.nets, unshared))
                     assert metrics == fresh_metrics
                     assert state.transcript == fresh_state.transcript
@@ -376,7 +380,7 @@ class TestWorldMemo:
 
         monkeypatch.setattr(netgraph, "region_devices", counting_scan)
         monkeypatch.setattr(RoutingNets, "world", counting_resolve)
-        state, _ = run(bundle.nets, sc.instance(), "sf-spg-g", seed=sc.seed, backbone=bundle.backbone)
+        state, _ = run(bundle.nets, sc.instance(), "sf-spg-g", seed=sc.seed)
         assert len(bundle.nets.worlds) == 2  # the instance and its re-anchoring
         assert scans == [sc.region]
         assert len(resolved) == (4 if cds else 3)
@@ -386,11 +390,11 @@ class TestWorldMemo:
 class TestRetainedMemory:
     def test_metrics_hold_no_collection_over_visited_devices(self):
         # a caller that keeps many Metrics (a sweep, a benchmark pass) must
-        # not keep every run's visited set; `state.arrival` holds that
+        # not keep every run's visited set; the transcript holds that
         sc = gen_scenario(ExperimentConfig(), 0)
         assert len(sc.devices) == 223
         state, metrics = run(build_nets(sc).nets, sc.instance(), "sf")
-        assert len(state.arrival) > metrics.target_count
+        assert len(arrivals(state.transcript, sc.source)) > metrics.target_count
         for field in dataclasses.fields(Metrics):
             value = getattr(metrics, field.name)
             if isinstance(value, Collection):
@@ -409,9 +413,9 @@ class TestFloodFrontierInvariant:
             src = int(rng.integers(n))
             inst = GeocastInstance.create(src, pts[src], Rect.from_bounds(0, 0, side, side))
             sim = Simulation(nets, inst, "sf")
-            assert sf_border_violations(sim) == []
+            assert sf_border_violations(sim, src) == []
             while sim.step() is not None:
-                assert sf_border_violations(sim) == []
+                assert sf_border_violations(sim, src) == []
 
 
 class TestReplayAndTrace:
@@ -426,10 +430,29 @@ class TestReplayAndTrace:
         state = Simulation(bundle.nets, inst, algorithm, policy, seed=sc.seed).run_to_quiescence()
         replayed = replay(bundle.nets, inst, algorithm, state.transcript)
         assert replayed.transcript == state.transcript
-        assert replayed.arrival == state.arrival
+        assert arrivals(replayed.transcript, inst.source) == arrivals(state.transcript, inst.source)
         assert replayed.split_done == state.split_done
         assert (replayed.annihilated, replayed.steps) == (state.annihilated, state.steps)
         assert replayed.queued_messages() == 0
+
+    def test_replay_holds_no_more_than_the_run(self):
+        # field 20, seed 1, trial 0: replay's pick reads the queues, so it
+        # pools no message (the fifo pool it had kept all 5,134 this run enqueues)
+        sc = gen_scenario(ExperimentConfig(seed=1, field_side=20.0), 0)
+        nets, inst = build_nets(sc).nets, sc.instance()
+        nets.world(inst)  # made once, outside both measurements
+        tracemalloc.start()
+        try:
+            state = Simulation(nets, inst, "sf", seed=sc.seed).run_to_quiescence()
+            run_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            replay(nets, inst, "sf", state.transcript)
+            replay_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert state.steps == 3008
+        assert replay_peak <= run_peak
 
     # (-3, 1) is the first event 0 -> 1 with its sender wrapped around
     # (-3 is 0 modulo n = 3)
@@ -481,22 +504,63 @@ class TestReplayAndTrace:
 
 class TestBackboneDelivery:
     def test_one_hop_epilogue_reaches_dominated_devices(self):
+        # device 2 neighbors only device 1, and the backbone is {0, 1}
         pts = [P(0, 0), P(0.9, 0), P(1.0, 0.5)]
         full = build_unit_disk(pts, 1.0)
+        backbone = induced_subgraph(full, {0, 1})
+        nets = RoutingNets(backbone, gabriel_subgraph(backbone), full)
         region = Rect.from_bounds(0.6, -0.6, 1.4, 0.9)
         inst = GeocastInstance.create(0, pts[0], region)
-        nets = RoutingNets(full, gabriel_subgraph(full))
-        sim = Simulation(nets, inst, "sf")
-        state = sim.run_to_quiescence()
-        # pretend device 2 was outside the backbone and never routed to
-        state.arrival.pop(2)
+        state = Simulation(nets, inst, "sf").run_to_quiescence()
+        assert 2 not in arrivals(state.transcript, inst.source)
         before = state.steps
-        extra = deliver_dominated(state, nets, inst, backbone={0, 1})
+        extra = deliver_dominated(state, nets, inst)
         assert extra == 1
-        assert state.arrival[2] == state.arrival[1] + 1
+        arrival = arrivals(state.transcript, inst.source)
+        assert arrival[2] == arrival[1] + 1
         assert state.steps == before + 1
         metrics = compute_metrics(state, nets, inst)
         assert metrics.delivery_rate == 1.0
+        # `run` adds the epilogue itself, since `nets` routes on a backbone
+        again, again_metrics = run(nets, inst, "sf")
+        assert again.transcript == state.transcript and again_metrics == metrics
+
+    def test_epilogue_equals_the_backbone_set_rule(self):
+        # the epilogue targets the in-region devices `full` leaves isolated;
+        # on every value `build_nets` makes, those are the ones off the backbone
+        cfg = ExperimentConfig(seed=6, field_side=8.0, region_side=3.0)
+        extras = 0
+        for trial in range(10):
+            sc = gen_scenario(cfg, trial)
+            bundle, inst = build_nets(sc, cds=True), sc.instance()
+            for alg in ALGORITHMS:
+                for policy in POLICIES:
+                    state = Simulation(bundle.nets, inst, alg, policy, sc.seed).run_to_quiescence()
+                    reference = copy.copy(state)
+                    reference.transcript = list(state.transcript)
+                    extra = deliver_dominated(state, bundle.nets, inst)
+                    assert extra == reference_deliver_dominated(reference, bundle.nets, inst, bundle.backbone)
+                    assert state.transcript == reference.transcript
+                    extras += extra
+        assert extras > 0
+
+    @pytest.mark.parametrize("algorithm", ["sf", "spg", "sf-spg", "sf-spg-g"])
+    def test_cds_routing_value_alone_delivers_like_the_cli(self, tmp_path, capsys, algorithm):
+        # without the epilogue these runs delivered to 24-52 % of the targets
+        cfg = ExperimentConfig(seed=1, field_side=20.0)
+        path, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+        for trial in range(5):
+            sc = gen_scenario(cfg, trial)
+            state, metrics = run(build_nets(sc, cds=True).nets, sc.instance(), algorithm, seed=sc.seed)
+            assert metrics.delivery_rate == 1.0
+            save_scenario(sc, str(path))
+            assert main(["run", "--scenario", str(path), "--alg", algorithm, "--cds",
+                         "--trace", str(trace)]) == 0
+            line = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+            assert (line["cost"], line["latency"], line["delivered"]) == (
+                str(metrics.message_cost), str(metrics.latency),
+                f"{len(metrics.region_covered)}/{metrics.target_count}")
+            assert read_trace(str(trace)) == state.transcript
 
     @pytest.mark.parametrize("trial", [0, 1, 2])
     @pytest.mark.parametrize("algorithm", ["sf", "spg", "sf-spg", "sf-spg-g"])
@@ -504,8 +568,7 @@ class TestBackboneDelivery:
                                                          algorithm, trial):
         sc = gen_scenario(ExperimentConfig(seed=3), trial)
         bundle = build_nets(sc, cds=True)
-        state, metrics = run(bundle.nets, sc.instance(), algorithm, seed=sc.seed,
-                             backbone=bundle.backbone)
+        state, metrics = run(bundle.nets, sc.instance(), algorithm, seed=sc.seed)
         assert metrics.delivery_rate in (None, 1.0)
         assert metrics == run_trial(sc, algorithm, build_nets(sc, cds=True))
 
@@ -518,19 +581,11 @@ class TestBackboneDelivery:
         assert line["delivered"] == f"{len(metrics.region_covered)}/{metrics.target_count}"
         assert read_trace(str(trace)) == state.transcript
 
-    def test_backbone_run_without_full_graph_rejected(self):
-        sc = gen_scenario(ExperimentConfig(seed=3), 0)
-        bundle = build_nets(sc, cds=True)
-        restricted = RoutingNets(bundle.nets.full, bundle.nets.planar)
-        with pytest.raises(ValueError, match="unit_disk"):
-            run(restricted, sc.instance(), "sf-spg", backbone=bundle.backbone)
-
     def test_backbone_run_reaches_the_region_beyond_the_backbone(self):
         # seed 3, trial 0: routing on the backbone alone covers 6 of the
         # 17 reachable in-region devices; the epilogue delivers the rest
         sc = gen_scenario(ExperimentConfig(seed=3), 0)
         bundle = build_nets(sc, cds=True)
-        _, metrics = run(bundle.nets, sc.instance(), "sf-spg", seed=sc.seed,
-                         backbone=bundle.backbone)
+        _, metrics = run(bundle.nets, sc.instance(), "sf-spg", seed=sc.seed)
         assert (metrics.message_cost, len(metrics.region_covered), metrics.target_count) \
             == (284, 17, 17)

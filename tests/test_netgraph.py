@@ -90,6 +90,8 @@ class TestBuildUnitDisk:
         ([P(0, 0), P(1e308, 1e308)], 1e308, "radius"),
         ([P(0, 0), P(1, 0)], 2.0 ** 512, "radius"),
         ([P(0, 0), P(1e-160, 0)], 2.0 ** -512, "radius"),
+        ([P(0, 0), P(1, 0)], 0.0, "radius"),
+        ([P(0, 0), P(1, 0)], -1.0, "radius"),
         ([P(0, 0), P(2.0 ** 512, 0)], 1.0, "span"),
         ([P(0, -1e308), P(1, 1e308)], 1.0, "span"),
     ])

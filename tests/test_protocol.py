@@ -20,7 +20,7 @@ from conftest import (
     nets_from_edges,
     reference_next_hop_index,
 )
-from geocastsim.engine import POLICIES, Simulation, SimulationFault
+from geocastsim.engine import POLICIES, Simulation, SimulationFault, arrivals
 from geocastsim.experiments import ExperimentConfig, build_nets, gen_scenario
 from geocastsim.geometry import LEFT, RIGHT, Rect
 from geocastsim.netgraph import GeocastInstance
@@ -320,7 +320,7 @@ class TestPlanarHandle:
         nets, inst = walkthrough
         sim = Simulation(nets, inst, "spg")
         state = sim.run_to_quiescence()
-        assert set(state.arrival) == set(range(6))
+        assert set(arrivals(state.transcript, inst.source)) == set(range(6))
         assert state.queued_messages() == 0
         assert state.steps <= 2 * nets.planar.edge_count()
 
@@ -483,7 +483,7 @@ class TestGreedy:
         nets, inst = self.chain()
         sim = Simulation(nets, inst, "sf-spg-g")
         state = sim.run_to_quiescence()
-        assert 4 in state.arrival and 3 in state.arrival
+        assert {3, 4} <= arrivals(state.transcript, inst.source).keys()
         assert state.queued_messages() == 0
 
 
@@ -503,7 +503,7 @@ class TestOneShotGate:
         nets, inst = self.triangle()
         state = Simulation(nets, inst, "sf-spg", policy).run_to_quiescence()
         assert state.steps == 9
-        assert set(state.arrival) == {0, 1, 2} and state.split_done == {0, 1, 2}
+        assert set(arrivals(state.transcript, inst.source)) == {0, 1, 2} and state.split_done == {0, 1, 2}
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_ungated_run_never_quiesces(self, policy):
@@ -537,6 +537,6 @@ class TestOneShotGate:
                 sim = Simulation(nets, inst, Algorithm(alg, ALGORITHMS[alg].initiate, recording),
                                  policy, scenario.seed)
                 state = sim.run_to_quiescence()
-                reached = state.arrival.keys() & region
+                reached = arrivals(state.transcript, inst.source).keys() & region
                 assert state.split_done & region == reached
                 assert ungated_calls == Counter(reached - {inst.source})

@@ -62,3 +62,14 @@ def test_out_dir_that_is_a_file_exits_1(tmp_path, name):
     done = script(name, "--out-dir", str(taken))
     assert done.returncode == 1
     assert "--out-dir" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_readme_library_use_runs():
+    # the documented calls cannot drift from the library's signatures
+    section = (SCRIPTS.parent / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    metrics = namespace["metrics"]  # the backbone run's
+    assert metrics.delivery_rate == 1.0
+    assert metrics.region_covered <= namespace["visited"].keys()
